@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("  saved to %s (%zu bytes/record)\n", path.c_str(),
-              sizeof(sim::TraceRecord));
+              sim::kTraceRecordBytes);
 
   sim::TraceReader reader;
   if (!reader.load(path)) {

@@ -39,7 +39,7 @@ u32 max_shards(const MachineConfig& cfg) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Trace compile (serial scan, or chunk-parallel with a prefix-sum stitch)
+// Trace compile and shard routing (chunked scans with a prefix-sum stitch)
 // ---------------------------------------------------------------------------
 
 constexpr u64 kNoPage = ~u64{0};
@@ -98,9 +98,12 @@ constexpr u64 kGapMemo = 256;
   return ((r.addr + r.len - 1) >> unit_shift) - (r.addr >> unit_shift) + 1;
 }
 
-/// Split a record at coherence-unit boundaries into BatchRefs at `out`
-/// (identical segments, in the same order, as the serial compile's
-/// push_back loop). Returns the number of segments written.
+/// Split a record at coherence-unit boundaries into BatchRefs at `out`, in
+/// address order. Each segment's L1 lines are exactly the per-line loop's
+/// lines for that unit, and the machine counts per L1 line at now = 0, so
+/// replaying the segments is bit-identical to replaying the whole record —
+/// the same equivalence the shard partition rests on. Returns the number of
+/// segments written.
 u64 emit_unit_segments(const TraceRecord& r, u32 proc, u32 unit_shift,
                        BatchRef* out) {
   const u8 kind = r.kind;
@@ -121,261 +124,12 @@ u64 emit_unit_segments(const TraceRecord& r, u32 proc, u32 unit_shift,
   return k;
 }
 
-/// Chunk-parallel compile (DESIGN.md §14). Three passes over uniform record
-/// chunks: (A) count unit segments and per-processor records per chunk,
-/// recording the in-chunk segment count at every epoch boundary; (stitch) a
-/// serial prefix sum over the chunk totals reconstructs every global offset
-/// — segment write positions, `epoch_ref_end`, per-(chunk, proc) scatter
-/// bases — exactly as the serial scan would have produced them; (B) place
-/// segments and scatter per-processor record indices into disjoint ranges;
-/// (C) per-processor TLB + instruction-gap replay over each processor's
-/// record subsequence (TLB state is strictly per-processor, so the replay
-/// order within a processor is all that matters, and the chunk-ordered
-/// concatenation preserves it), snapshotting `serial_cum` at the global
-/// epoch boundaries. Bit-identical to the serial compile at every pool size
-/// and every chunking.
-CompiledTrace compile_trace_parallel(const MachineConfig& cfg,
-                                     const std::vector<TraceRecord>& records,
-                                     u64 epoch_records, ThreadPool& pool) {
-  const u32 nproc = cfg.num_processors;
-  const u64 n = records.size();
-  CompiledTrace ct;
-  ct.records = n;
-  ct.epochs = epoch_records == 0 ? 1 : (n + epoch_records - 1) / epoch_records;
-  if (ct.epochs == 0) ct.epochs = 1;
-  ct.unit_shift =
-      static_cast<u32>(std::countr_zero(cfg.dcache.back().line_bytes));
-  ct.serial_cum.assign(ct.epochs * nproc, 0);
-  ct.instr_total.assign(nproc, 0);
-  ct.gap_cycles_total.assign(nproc, 0);
-  ct.tlb_stall_total.assign(nproc, 0);
-  ct.tlb_miss_total.assign(nproc, 0);
-
-  // ---- pass A: per-chunk counts (parallel) ----
-  const u64 target =
-      std::max<u64>(u64{16} * 1024, n / (u64{8} * pool.size()));
-  const u64 chunks = (n + target - 1) / target;
-  struct ChunkScan {
-    u64 segs = 0;                   ///< unit segments the chunk emits
-    std::vector<u64> proc_records;  ///< records per processor in the chunk
-    /// (epoch, in-chunk segment count at its boundary) for every epoch
-    /// boundary inside the chunk.
-    std::vector<std::pair<u64, u64>> epoch_marks;
-  };
-  std::vector<ChunkScan> scans(chunks);
-  parallel_for_index(&pool, chunks, [&](u64 c) {
-    const u64 lo = c * target;
-    const u64 hi = std::min(n, lo + target);
-    ChunkScan& cs = scans[c];
-    cs.proc_records.assign(nproc, 0);
-    u64 segs = 0;
-    for (u64 i = lo; i < hi; ++i) {
-      const TraceRecord& r = records[i];
-      assert(r.len > 0);
-      segs += unit_segment_count(r, ct.unit_shift);
-      ++cs.proc_records[r.proc % nproc];
-      if (epoch_records != 0 && (i + 1) % epoch_records == 0) {
-        cs.epoch_marks.emplace_back((i + 1) / epoch_records - 1, segs);
-      }
-    }
-    cs.segs = segs;
-  });
-
-  // ---- stitch: prefix sums reconstruct every global offset (serial) ----
-  std::vector<u64> seg_base(chunks + 1, 0);
-  for (u64 c = 0; c < chunks; ++c) {
-    seg_base[c + 1] = seg_base[c] + scans[c].segs;
-  }
-  ct.refs.resize(seg_base[chunks]);
-  // Epochs with no boundary mark (the final, possibly partial epoch) end at
-  // the last segment, exactly like the serial scan's trailing resize.
-  ct.epoch_ref_end.assign(ct.epochs, seg_base[chunks]);
-  for (u64 c = 0; c < chunks; ++c) {
-    for (const auto& [e, within] : scans[c].epoch_marks) {
-      ct.epoch_ref_end[e] = seg_base[c] + within;
-    }
-  }
-  std::vector<u64> proc_total(nproc, 0);
-  std::vector<u64> proc_base(chunks * nproc);  // scatter base per (chunk, p)
-  for (u64 c = 0; c < chunks; ++c) {
-    for (u32 p = 0; p < nproc; ++p) {
-      proc_base[c * nproc + p] = proc_total[p];
-      proc_total[p] += scans[c].proc_records[p];
-    }
-  }
-  std::vector<std::vector<u64>> proc_idx(nproc);
-  for (u32 p = 0; p < nproc; ++p) proc_idx[p].resize(proc_total[p]);
-
-  // ---- pass B: place segments + scatter record indices (parallel) ----
-  parallel_for_index(&pool, chunks, [&](u64 c) {
-    const u64 lo = c * target;
-    const u64 hi = std::min(n, lo + target);
-    u64 out = seg_base[c];
-    std::vector<u64> cursor(proc_base.begin() + c * nproc,
-                            proc_base.begin() + (c + 1) * nproc);
-    for (u64 i = lo; i < hi; ++i) {
-      const TraceRecord& r = records[i];
-      const u32 p = r.proc % nproc;
-      proc_idx[p][cursor[p]++] = i;
-      out += emit_unit_segments(r, p, ct.unit_shift, ct.refs.data() + out);
-    }
-  });
-
-  // ---- pass C: per-processor TLB + instruction-gap replay (parallel) ----
-  const double cpi = cfg.base_cpi;
-  const std::array<u64, kGapMemo> gap_memo = make_gap_memo(cpi);
-  const bool tlb_on = cfg.tlb_entries != 0;
-  parallel_for_index(&pool, nproc, [&](u64 pi) {
-    const u32 p = static_cast<u32>(pi);
-    std::optional<SetAssocCache> tlb;
-    if (tlb_on) tlb.emplace(tlb_geometry(cfg));
-    u64 mru_page = kNoPage;
-    u64 serial = 0;
-    u64 instr = 0, gap_total = 0, tlb_stall_sum = 0, misses = 0;
-    u64 next_epoch = 0;
-    for (const u64 idx : proc_idx[p]) {
-      if (epoch_records != 0) {
-        // serial_cum[e][p] is p's serial clock after all records with a
-        // global index below the epoch's end; flush every epoch that ends
-        // at or before this record.
-        while (next_epoch + 1 < ct.epochs &&
-               idx >= (next_epoch + 1) * epoch_records) {
-          ct.serial_cum[next_epoch * nproc + p] = serial;
-          ++next_epoch;
-        }
-      }
-      const TraceRecord& r = records[idx];
-      const u64 gap_cycles = gap_cycles_of(r.instr_gap, cpi, gap_memo);
-      u64 tlb_stall = 0;
-      if (tlb_on) {
-        tlb_stall =
-            tlb_replay_record(r, *tlb, mru_page, cfg.tlb_miss_penalty, misses);
-      }
-      instr += r.instr_gap;
-      gap_total += gap_cycles;
-      tlb_stall_sum += tlb_stall;
-      serial += gap_cycles + tlb_stall;
-    }
-    for (u64 e = next_epoch; e < ct.epochs; ++e) {
-      ct.serial_cum[e * nproc + p] = serial;
-    }
-    ct.instr_total[p] = instr;
-    ct.gap_cycles_total[p] = gap_total;
-    ct.tlb_stall_total[p] = tlb_stall_sum;
-    ct.tlb_miss_total[p] = misses;
-  });
-  return ct;
-}
-
-// ---------------------------------------------------------------------------
-// Shard routing (serial scan, or count-then-place two-pass per epoch)
-// ---------------------------------------------------------------------------
-
-/// One shard's slice of a compiled trace. At S == 1 the slice aliases the
-/// CompiledTrace refs directly (no copy — the single-shard stream IS the
-/// compiled stream); at S > 1 the routing scan copies each shard's refs
-/// into `storage` in stream order.
-struct ShardPlan {
-  const BatchRef* base = nullptr;
-  /// Ref-count snapshot at the end of each epoch (one entry per epoch).
-  std::vector<std::size_t> epoch_end;
-  std::vector<BatchRef> storage;
-};
-
-/// Route a compiled trace to S shards: each ref goes to
-/// `(addr >> unit_shift) & (S - 1)`, preserving stream order within a shard
-/// and snapshotting per-shard sizes at the compiled epoch boundaries. This
-/// is exactly the partition the old fused pre-pass produced, factored out
-/// so the expensive compile half can be memoized across shard counts.
-///
-/// With a multi-thread pool the scan runs as a count-then-place two-pass:
-/// chunks are cut at every epoch boundary (so per-shard epoch snapshots
-/// fall on chunk seams) and subdivided to a parallel grain; a serial prefix
-/// sum over the per-(chunk, shard) counts yields each chunk's write base,
-/// and the place pass copies into disjoint ranges. Identical placement —
-/// and identical epoch snapshots — to the serial scan, at every pool size.
-std::vector<ShardPlan> route_shards(const CompiledTrace& ct, u32 S,
-                                    ThreadPool* pool) {
-  std::vector<ShardPlan> plans(S);
-  if (S == 1) {
-    plans[0].base = ct.refs.data();
-    plans[0].epoch_end = ct.epoch_ref_end;
-    return plans;
-  }
-  const u64 total = ct.refs.size();
-  constexpr u64 kParallelRouteMin = 32 * 1024;
-  if (pool == nullptr || pool->size() <= 1 || total < kParallelRouteMin) {
-    const u64 est = total / S + total / (8 * S) + 16;
-    for (ShardPlan& plan : plans) {
-      plan.storage.reserve(est);
-      plan.epoch_end.reserve(ct.epochs);
-    }
-    std::size_t lo = 0;
-    for (u64 e = 0; e < ct.epochs; ++e) {
-      const std::size_t hi = ct.epoch_ref_end[e];
-      for (std::size_t i = lo; i < hi; ++i) {
-        const BatchRef& r = ct.refs[i];
-        plans[(r.addr >> ct.unit_shift) & (S - 1)].storage.push_back(r);
-      }
-      for (ShardPlan& plan : plans) {
-        plan.epoch_end.push_back(plan.storage.size());
-      }
-      lo = hi;
-    }
-    for (ShardPlan& plan : plans) plan.base = plan.storage.data();
-    return plans;
-  }
-
-  struct RouteChunk {
-    std::size_t lo, hi;
-    bool epoch_final;  ///< last chunk of its epoch (snapshot point)
-  };
-  const u64 target =
-      std::max<u64>(u64{16} * 1024, total / (u64{8} * pool->size()));
-  std::vector<RouteChunk> rchunks;
-  std::size_t lo = 0;
-  for (u64 e = 0; e < ct.epochs; ++e) {
-    const std::size_t hi = ct.epoch_ref_end[e];
-    const u64 len = hi - lo;
-    const u64 pieces = std::max<u64>(1, (len + target - 1) / target);
-    for (u64 k = 0; k < pieces; ++k) {
-      rchunks.push_back({lo + static_cast<std::size_t>(len * k / pieces),
-                         lo + static_cast<std::size_t>(len * (k + 1) / pieces),
-                         k + 1 == pieces});
-    }
-    lo = hi;
-  }
-  const u64 C = rchunks.size();
-  std::vector<u64> counts(C * S, 0);  // per-(chunk, shard) ref counts
-  parallel_for_index(pool, C, [&](u64 c) {
-    u64* row = counts.data() + c * S;
-    for (std::size_t i = rchunks[c].lo; i < rchunks[c].hi; ++i) {
-      ++row[(ct.refs[i].addr >> ct.unit_shift) & (S - 1)];
-    }
-  });
-  std::vector<u64> base(C * S);  // per-(chunk, shard) write base
-  std::vector<u64> running(S, 0);
-  for (ShardPlan& plan : plans) plan.epoch_end.reserve(ct.epochs);
-  for (u64 c = 0; c < C; ++c) {
-    for (u32 s = 0; s < S; ++s) {
-      base[c * S + s] = running[s];
-      running[s] += counts[c * S + s];
-    }
-    if (rchunks[c].epoch_final) {
-      for (u32 s = 0; s < S; ++s) plans[s].epoch_end.push_back(running[s]);
-    }
-  }
-  for (u32 s = 0; s < S; ++s) plans[s].storage.resize(running[s]);
-  parallel_for_index(pool, C, [&](u64 c) {
-    std::vector<u64> cursor(base.begin() + c * S, base.begin() + (c + 1) * S);
-    for (std::size_t i = rchunks[c].lo; i < rchunks[c].hi; ++i) {
-      const BatchRef& r = ct.refs[i];
-      const auto s = static_cast<u32>((r.addr >> ct.unit_shift) & (S - 1));
-      plans[s].storage[cursor[s]++] = r;
-    }
-  });
-  for (ShardPlan& plan : plans) plan.base = plan.storage.data();
-  return plans;
+/// Elements per chunk of the chunked scans: at least 16 Ki, so each
+/// chunk's per-processor or per-shard tallies stay small next to its scan,
+/// and about eight chunks per pool thread for balance.
+[[nodiscard]] u64 chunk_grain(u64 n, const ThreadPool* pool) {
+  const u64 threads = pool != nullptr ? pool->size() : 1;
+  return std::max<u64>(u64{16} * 1024, n / (u64{8} * threads));
 }
 
 // ---------------------------------------------------------------------------
@@ -425,7 +179,7 @@ struct PipelineAbort {};
 /// the sealed slots for epoch e, then decrements `to_seal[e]` with release
 /// semantics; whichever worker brings it to zero performs the merge after
 /// its acquire — so the merge reads only sealed epoch-e counters, in fixed
-/// shard order, producing exactly the barrier loop's values.
+/// shard order, and its values never depend on which worker ran it.
 struct EpochPipeline {
   DSS_EPOCH_MERGED u32 shards = 0;
   DSS_EPOCH_MERGED u32 nproc = 0;
@@ -466,9 +220,8 @@ struct EpochPipeline {
   }
 
   /// Deterministic merge of epoch e, by whichever worker sealed it last:
-  /// fixed-order sums over the sealed slots and the span measured off the
-  /// merged clocks — the same arithmetic, over the same values, as the
-  /// barrier loop.
+  /// fixed-order sums over the sealed slots (exact integers, so independent
+  /// of the shard count) and the span measured off the merged clocks.
   void publish(u64 e) {
     u32* m = merged.data() + e * homes;
     for (u32 s = 0; s < shards; ++s) {
@@ -538,8 +291,9 @@ struct ShardEpochResolver final : MemCtrl::EpochResolver {
 /// w). Epoch-major order is what makes the run-ahead deadlock-free: by the
 /// time a worker computes epoch e + 1 it has sealed all of its shards at
 /// epoch e, so the publication a resolver waits on only ever depends on
-/// workers that are themselves still making progress (with one worker this
-/// degenerates to exactly the barrier schedule, publications always ready).
+/// workers that are themselves still making progress (a lone worker seals
+/// every shard before any resolver runs, so its publications are always
+/// ready).
 void pipeline_worker(EpochPipeline& pl, u32 w, u32 workers,
                      const std::vector<std::unique_ptr<MachineSim>>& machines,
                      const std::vector<ShardPlan>& plans,
@@ -550,8 +304,11 @@ void pipeline_worker(EpochPipeline& pl, u32 w, u32 workers,
     for (u32 s = w; s < pl.shards; s += workers) {
       MachineSim& m = *machines[s];
       const ShardPlan& plan = plans[s];
-      const std::size_t lo = e == 0 ? 0 : plan.epoch_end[e - 1];
-      const std::size_t hi = plan.epoch_end[e];
+      const std::size_t lo = e == 0 ? 0 : plan.cut_end[e - 1];
+      const std::size_t hi = plan.cut_end[e];
+      if (e > 0 && opts.on_epoch) opts.on_epoch(s, e);
+      // The machine folds each reference's stall (and, under attribution,
+      // its CPI-stack parts) into the attached shard counters.
       m.access_batch(plan.base + lo, hi - lo);
       if (e + 1 == pl.epochs) {
         if (opts.on_shard_done) opts.on_shard_done(s, m);
@@ -581,16 +338,21 @@ void pipeline_worker(EpochPipeline& pl, u32 w, u32 workers,
 
 }  // namespace
 
+/// Three passes over uniform record chunks (DESIGN.md §14): (A) count unit
+/// segments and per-processor records per chunk, recording the in-chunk
+/// segment count at every epoch boundary; (stitch) a serial prefix sum over
+/// the chunk totals reconstructs every global offset — segment write
+/// positions, `epoch_ref_end`, per-(chunk, proc) scatter bases; (B) place
+/// segments and scatter per-processor record indices into disjoint ranges;
+/// (C) per-processor TLB + instruction-gap replay over each processor's
+/// record subsequence (TLB state is strictly per-processor, so the replay
+/// order within a processor is all that matters, and the chunk-ordered
+/// concatenation preserves it), snapshotting `serial_cum` at the global
+/// epoch boundaries. No pass reads what another writes concurrently, so the
+/// output is the same at every pool size and every chunking.
 CompiledTrace compile_trace(const MachineConfig& cfg,
                             const std::vector<TraceRecord>& records,
                             u64 epoch_records, ThreadPool* pool) {
-  // The parallel stitch pays three passes over the records; below this the
-  // serial single scan wins (and covers the n == 0 edge cases).
-  constexpr u64 kParallelCompileMin = 32 * 1024;
-  if (pool != nullptr && pool->size() > 1 &&
-      records.size() >= kParallelCompileMin) {
-    return compile_trace_parallel(cfg, records, epoch_records, *pool);
-  }
   const u32 nproc = cfg.num_processors;
   const u64 n = records.size();
   CompiledTrace ct;
@@ -599,85 +361,200 @@ CompiledTrace compile_trace(const MachineConfig& cfg,
   if (ct.epochs == 0) ct.epochs = 1;
   ct.unit_shift =
       static_cast<u32>(std::countr_zero(cfg.dcache.back().line_bytes));
-  // Unit-straddling records are rare in every generated pattern; reserve a
-  // modest slack over one ref per record.
-  ct.refs.reserve(n + n / 8 + 16);
-  ct.epoch_ref_end.reserve(ct.epochs);
   ct.serial_cum.assign(ct.epochs * nproc, 0);
   ct.instr_total.assign(nproc, 0);
   ct.gap_cycles_total.assign(nproc, 0);
   ct.tlb_stall_total.assign(nproc, 0);
   ct.tlb_miss_total.assign(nproc, 0);
 
-  // The TLB is per-processor state keyed by page, not by coherence unit, so
-  // it cannot be partitioned across shards — but its outcomes depend only on
-  // each processor's page sequence, never on cache state, so the compile
-  // replays it here exactly as MachineSim::translate would (see
-  // tlb_replay_record above).
-  std::vector<SetAssocCache> tlbs;
-  if (cfg.tlb_entries != 0) {
-    tlbs.reserve(nproc);
-    for (u32 p = 0; p < nproc; ++p) tlbs.emplace_back(tlb_geometry(cfg));
-  }
+  // ---- pass A: per-chunk counts (parallel) ----
+  const u64 target = chunk_grain(n, pool);
+  const u64 chunks = (n + target - 1) / target;
+  struct ChunkScan {
+    u64 segs = 0;                   ///< unit segments the chunk emits
+    std::vector<u64> proc_records;  ///< records per processor in the chunk
+    /// (epoch, in-chunk segment count at its boundary) for every epoch
+    /// boundary inside the chunk.
+    std::vector<std::pair<u64, u64>> epoch_marks;
+  };
+  std::vector<ChunkScan> scans(chunks);
+  parallel_for_index(pool, chunks, [&](u64 c) {
+    const u64 lo = c * target;
+    const u64 hi = std::min(n, lo + target);
+    ChunkScan& cs = scans[c];
+    cs.proc_records.assign(nproc, 0);
+    u64 segs = 0;
+    for (u64 i = lo; i < hi; ++i) {
+      const TraceRecord& r = records[i];
+      assert(r.len > 0);
+      segs += unit_segment_count(r, ct.unit_shift);
+      ++cs.proc_records[r.proc % nproc];
+      if (epoch_records != 0 && (i + 1) % epoch_records == 0) {
+        cs.epoch_marks.emplace_back((i + 1) / epoch_records - 1, segs);
+      }
+    }
+    cs.segs = segs;
+  });
 
+  // ---- stitch: prefix sums reconstruct every global offset (serial) ----
+  std::vector<u64> seg_base(chunks + 1, 0);
+  for (u64 c = 0; c < chunks; ++c) {
+    seg_base[c + 1] = seg_base[c] + scans[c].segs;
+  }
+  ct.refs.resize(seg_base[chunks]);
+  // Epochs with no boundary mark (the final, possibly partial epoch) end at
+  // the last segment.
+  ct.epoch_ref_end.assign(ct.epochs, seg_base[chunks]);
+  for (u64 c = 0; c < chunks; ++c) {
+    for (const auto& [e, within] : scans[c].epoch_marks) {
+      ct.epoch_ref_end[e] = seg_base[c] + within;
+    }
+  }
+  std::vector<u64> proc_total(nproc, 0);
+  std::vector<u64> proc_base(chunks * nproc);  // scatter base per (chunk, p)
+  for (u64 c = 0; c < chunks; ++c) {
+    for (u32 p = 0; p < nproc; ++p) {
+      proc_base[c * nproc + p] = proc_total[p];
+      proc_total[p] += scans[c].proc_records[p];
+    }
+  }
+  std::vector<std::vector<u64>> proc_idx(nproc);
+  for (u32 p = 0; p < nproc; ++p) proc_idx[p].resize(proc_total[p]);
+
+  // ---- pass B: place segments + scatter record indices (parallel) ----
+  parallel_for_index(pool, chunks, [&](u64 c) {
+    const u64 lo = c * target;
+    const u64 hi = std::min(n, lo + target);
+    u64 out = seg_base[c];
+    std::vector<u64> cursor(proc_base.begin() + c * nproc,
+                            proc_base.begin() + (c + 1) * nproc);
+    for (u64 i = lo; i < hi; ++i) {
+      const TraceRecord& r = records[i];
+      const u32 p = r.proc % nproc;
+      proc_idx[p][cursor[p]++] = i;
+      out += emit_unit_segments(r, p, ct.unit_shift, ct.refs.data() + out);
+    }
+  });
+
+  // ---- pass C: per-processor TLB + instruction-gap replay (parallel) ----
   const double cpi = cfg.base_cpi;
-  std::vector<u64> serial(nproc, 0);
   const std::array<u64, kGapMemo> gap_memo = make_gap_memo(cpi);
-  // Per-processor MRU page: see tlb_replay_record.
-  std::vector<u64> mru_page(nproc, kNoPage);
-  u64 epoch = 0;
-  for (u64 i = 0; i < n; ++i) {
-    const TraceRecord& r = records[i];
-    const u32 p = r.proc % nproc;
-    assert(r.len > 0);
-
-    const u64 gap_cycles = gap_cycles_of(r.instr_gap, cpi, gap_memo);
-    u64 tlb_stall = 0;
-    if (!tlbs.empty()) {
-      tlb_stall = tlb_replay_record(r, tlbs[p], mru_page[p],
-                                    cfg.tlb_miss_penalty,
-                                    ct.tlb_miss_total[p]);
+  const bool tlb_on = cfg.tlb_entries != 0;
+  parallel_for_index(pool, nproc, [&](u64 pi) {
+    const u32 p = static_cast<u32>(pi);
+    std::optional<SetAssocCache> tlb;
+    if (tlb_on) tlb.emplace(tlb_geometry(cfg));
+    u64 mru_page = kNoPage;
+    u64 serial = 0;
+    u64 instr = 0, gap_total = 0, tlb_stall_sum = 0, misses = 0;
+    u64 next_epoch = 0;
+    for (const u64 idx : proc_idx[p]) {
+      if (epoch_records != 0) {
+        // serial_cum[e][p] is p's serial clock after all records with a
+        // global index below the epoch's end; flush every epoch that ends
+        // at or before this record.
+        while (next_epoch + 1 < ct.epochs &&
+               idx >= (next_epoch + 1) * epoch_records) {
+          ct.serial_cum[next_epoch * nproc + p] = serial;
+          ++next_epoch;
+        }
+      }
+      const TraceRecord& r = records[idx];
+      const u64 gap_cycles = gap_cycles_of(r.instr_gap, cpi, gap_memo);
+      u64 tlb_stall = 0;
+      if (tlb_on) {
+        tlb_stall =
+            tlb_replay_record(r, *tlb, mru_page, cfg.tlb_miss_penalty, misses);
+      }
+      instr += r.instr_gap;
+      gap_total += gap_cycles;
+      tlb_stall_sum += tlb_stall;
+      serial += gap_cycles + tlb_stall;
     }
-    ct.instr_total[p] += r.instr_gap;
-    ct.gap_cycles_total[p] += gap_cycles;
-    ct.tlb_stall_total[p] += tlb_stall;
-    serial[p] += gap_cycles + tlb_stall;
+    for (u64 e = next_epoch; e < ct.epochs; ++e) {
+      ct.serial_cum[e * nproc + p] = serial;
+    }
+    ct.instr_total[p] = instr;
+    ct.gap_cycles_total[p] = gap_total;
+    ct.tlb_stall_total[p] = tlb_stall_sum;
+    ct.tlb_miss_total[p] = misses;
+  });
+  return ct;
+}
 
-    // Split records that straddle coherence-unit boundaries into per-unit
-    // segments (each segment's L1 lines are exactly the serial per-line
-    // loop's lines for that unit, and the machine counts per L1 line at
-    // now = 0, so replaying segments is bit-identical to replaying the
-    // whole record — the same equivalence the shard partition rests on).
-    const u8 kind = r.kind;
-    const u64 last_addr = r.addr + r.len - 1;
-    const u64 first_unit = r.addr >> ct.unit_shift;
-    const u64 last_unit = last_addr >> ct.unit_shift;
-    if (first_unit == last_unit) {
-      ct.refs.push_back(BatchRef{r.addr, p, (r.len << 2) | kind});
-    } else {
-      for (u64 unit = first_unit; unit <= last_unit; ++unit) {
-        const u64 seg_lo = std::max(r.addr, unit << ct.unit_shift);
-        const u64 seg_hi =
-            std::min(last_addr, ((unit + 1) << ct.unit_shift) - 1);
-        const u32 seg_len = static_cast<u32>(seg_hi - seg_lo + 1);
-        ct.refs.push_back(BatchRef{seg_lo, p, (seg_len << 2) | kind});
+std::vector<ShardPlan> route_shards(const CompiledTrace& ct, u32 S,
+                                    const std::vector<std::size_t>& cuts,
+                                    ThreadPool* pool) {
+  assert(std::is_sorted(cuts.begin(), cuts.end()));
+  assert(cuts.empty() || cuts.back() <= ct.refs.size());
+  std::vector<ShardPlan> plans(S);
+  if (S == 1) {
+    plans[0].base = ct.refs.data();
+    plans[0].cut_end = cuts;
+    return plans;
+  }
+  const auto shard_of = [&](const BatchRef& r) {
+    return static_cast<u32>((r.addr >> ct.unit_shift) & (S - 1));
+  };
+  const u64 total = ct.refs.size();
+  const u64 target = chunk_grain(total, pool);
+  const u64 chunks = (total + target - 1) / target;
+
+  // ---- count: per-(chunk, shard) refs, snapshotted at every cut q with
+  // lo < q <= hi (parallel) ----
+  struct RouteChunk {
+    std::vector<u64> counts;   ///< [shard]
+    std::size_t first_cut = 0;  ///< index of the first cut the chunk owns
+    std::vector<u64> marks;    ///< [owned cut][shard]: counts at the cut
+  };
+  std::vector<RouteChunk> scans(chunks);
+  parallel_for_index(pool, chunks, [&](u64 c) {
+    const std::size_t lo = c * target;
+    const std::size_t hi = std::min<u64>(total, lo + target);
+    RouteChunk& rc = scans[c];
+    rc.counts.assign(S, 0);
+    std::size_t k = static_cast<std::size_t>(
+        std::upper_bound(cuts.begin(), cuts.end(), lo) - cuts.begin());
+    rc.first_cut = k;
+    for (std::size_t i = lo; i < hi; ++i) {
+      ++rc.counts[shard_of(ct.refs[i])];
+      for (; k < cuts.size() && cuts[k] == i + 1; ++k) {
+        rc.marks.insert(rc.marks.end(), rc.counts.begin(), rc.counts.end());
       }
     }
+  });
 
-    const bool boundary =
-        epoch_records != 0 ? ((i + 1) % epoch_records == 0) : false;
-    if (boundary || i + 1 == n) {
-      for (u32 q = 0; q < nproc; ++q) {
-        ct.serial_cum[epoch * nproc + q] = serial[q];
+  // ---- stitch: per-(chunk, shard) write bases and cut snapshots (serial) --
+  std::vector<u64> base(chunks * S);
+  std::vector<u64> running(S, 0);
+  for (ShardPlan& plan : plans) plan.cut_end.assign(cuts.size(), 0);
+  for (u64 c = 0; c < chunks; ++c) {
+    const RouteChunk& rc = scans[c];
+    for (std::size_t m = 0; m * S < rc.marks.size(); ++m) {
+      for (u32 s = 0; s < S; ++s) {
+        plans[s].cut_end[rc.first_cut + m] = running[s] + rc.marks[m * S + s];
       }
-      ct.epoch_ref_end.push_back(ct.refs.size());
-      ++epoch;
+    }
+    for (u32 s = 0; s < S; ++s) {
+      base[c * S + s] = running[s];
+      running[s] += rc.counts[s];
     }
   }
-  if (n == 0) ct.epoch_ref_end.push_back(0);
-  // A boundary exactly at the last record already closed the final epoch.
-  ct.epoch_ref_end.resize(ct.epochs, ct.refs.size());
-  return ct;
+  for (u32 s = 0; s < S; ++s) plans[s].storage.resize(running[s]);
+
+  // ---- place: copy into disjoint per-shard ranges (parallel) ----
+  parallel_for_index(pool, chunks, [&](u64 c) {
+    const std::size_t lo = c * target;
+    const std::size_t hi = std::min<u64>(total, lo + target);
+    std::vector<u64> cursor(base.begin() + c * S, base.begin() + (c + 1) * S);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const BatchRef& r = ct.refs[i];
+      const u32 s = shard_of(r);
+      plans[s].storage[cursor[s]++] = r;
+    }
+  });
+  for (ShardPlan& plan : plans) plan.base = plan.storage.data();
+  return plans;
 }
 
 std::shared_ptr<const CompiledTrace> TraceCompileCache::get(
@@ -728,7 +605,7 @@ std::vector<perf::Counters> replay_batched(
   }
   const CompiledTrace& ct = cached != nullptr ? *cached : local;
   const std::vector<ShardPlan> plans =
-      route_shards(ct, S, S > 1 ? opts.pool : nullptr);
+      route_shards(ct, S, ct.epoch_ref_end, opts.pool);
 
   // Shard machines run with the TLB disabled: translation was fully handled
   // by the compile pass, and the per-processor TLB is the one structure a
@@ -748,95 +625,30 @@ std::vector<perf::Counters> replay_batched(
     if (opts.on_shard_start) opts.on_shard_start(s, *machines[s]);
   }
 
-  ThreadPool* pool = S > 1 ? opts.pool : nullptr;
-  const bool epochs_on = opts.epoch_records != 0;
-  // The on_epoch hook is a barrier seam (sim/check stamps a global epoch
-  // number into every shard's checker), so its presence forces the barrier
-  // schedule; so does a single shard, where there is nothing to overlap.
-  const bool pipelined =
-      opts.pipeline && epochs_on && ct.epochs > 1 && S > 1 && !opts.on_epoch;
-  if (pipelined) {
-    EpochPipeline pl(S, nproc, machines[0]->memctrl().num_homes(), ct);
-    std::vector<ShardEpochResolver> resolvers(S);
-    for (u32 s = 0; s < S; ++s) resolvers[s].pl = &pl;
-    const u32 workers =
-        pool != nullptr ? std::min<u32>(pool->size(), S) : 1;
-    if (workers <= 1) {
-      // Serial execution of the same engine: epoch-major order seals every
-      // shard before any resolver needs the publication, so no wait blocks.
-      pipeline_worker(pl, 0, 1, machines, plans, shard_ctr, resolvers, opts);
-    } else {
-      std::vector<std::future<void>> futs;
-      futs.reserve(workers);
-      for (u32 w = 0; w < workers; ++w) {
-        futs.push_back(pool->submit([&, w] {
-          try {
-            pipeline_worker(pl, w, workers, machines, plans, shard_ctr,
-                            resolvers, opts);
-          } catch (const PipelineAbort&) {
-            // A sibling failed first; its exception is the one to rethrow.
-          } catch (...) {
-            pl.abort(std::current_exception());
-          }
-        }));
-      }
-      for (auto& f : futs) f.get();  // workers never leak exceptions
-      std::exception_ptr err;
-      {
-        std::lock_guard<std::mutex> lock(pl.mu);
-        err = pl.error;
-      }
-      if (err) std::rethrow_exception(err);
+  // Shards run epoch-major on min(pool threads, S) workers; a single worker
+  // (no pool, a one-thread pool or one shard) runs inline on this thread.
+  EpochPipeline pl(S, nproc, machines[0]->memctrl().num_homes(), ct);
+  std::vector<ShardEpochResolver> resolvers(S);
+  for (u32 s = 0; s < S; ++s) resolvers[s].pl = &pl;
+  const u32 workers =
+      opts.pool != nullptr ? std::min<u32>(opts.pool->size(), S) : 1;
+  parallel_for_index(opts.pool, workers, [&](u64 w) {
+    try {
+      pipeline_worker(pl, static_cast<u32>(w), workers, machines, plans,
+                      shard_ctr, resolvers, opts);
+    } catch (const PipelineAbort&) {
+      // A sibling failed first; its exception is the one to rethrow.
+    } catch (...) {
+      pl.abort(std::current_exception());
     }
-    // Disarm resolvers a request-free final epoch never consumed: the
-    // resolver objects die with this scope, the machines slightly later.
-    for (u32 s = 0; s < S; ++s) {
-      machines[s]->memctrl_mut().set_pending_epoch(nullptr);
-    }
-  } else {
-    u64 prev_clock_max = 0;
-    for (u64 e = 0; e < ct.epochs; ++e) {
-      parallel_for_index(pool, S, [&](u64 s) {
-        MachineSim& m = *machines[s];
-        const ShardPlan& plan = plans[s];
-        const std::size_t lo = e == 0 ? 0 : plan.epoch_end[e - 1];
-        const std::size_t hi = plan.epoch_end[e];
-        // The machine folds each reference's stall (and, under attribution,
-        // its CPI-stack parts) into the attached shard counters.
-        m.access_batch(plan.base + lo, hi - lo);
-        if (e + 1 == ct.epochs && opts.on_shard_done) {
-          opts.on_shard_done(static_cast<u32>(s), m);
-        }
-      });
-      if (epochs_on && e + 1 < ct.epochs) {
-        // Deterministic epoch merge: sum every shard's per-home request
-        // tally, measure the finished epoch's span off the merged clocks,
-        // and install the same totals into every shard. All sums run in
-        // fixed index order over exact integers, so the result is
-        // independent of both thread interleaving and the shard count.
-        std::vector<u32> merged(machines[0]->memctrl().num_homes(), 0);
-        for (u32 s = 0; s < S; ++s) {
-          const std::vector<u32>& counts =
-              machines[s]->memctrl().epoch_counts();
-          for (std::size_t h = 0; h < merged.size(); ++h) {
-            merged[h] += counts[h];
-          }
-        }
-        u64 clock_max = 0;
-        for (u32 p = 0; p < nproc; ++p) {
-          u64 clk = ct.serial_cum[e * nproc + p];
-          for (u32 s = 0; s < S; ++s) clk += shard_ctr[s][p].cycles;
-          clock_max = std::max(clock_max, clk);
-        }
-        const u64 span = std::max<u64>(1, clock_max - prev_clock_max);
-        prev_clock_max = clock_max;
-        for (u32 s = 0; s < S; ++s) {
-          machines[s]->begin_epoch_merged(merged, span);
-        }
-        if (opts.on_epoch) opts.on_epoch(e + 1);
-      }
-    }
+  });
+  // Disarm resolvers a request-free final epoch (or a failed run) never
+  // consumed: the resolver objects die before the machines do.
+  for (u32 s = 0; s < S; ++s) {
+    machines[s]->memctrl_mut().set_pending_epoch(nullptr);
   }
+  // Every worker has returned, so the error slot is no longer written.
+  if (pl.error) std::rethrow_exception(pl.error);
 
   // Merge: per-processor counters are sums of per-reference contributions,
   // so summing the shards (fixed order, exact u64 arithmetic) reproduces the
@@ -862,7 +674,7 @@ std::vector<perf::Counters> replay_batched(
     for (const perf::Counters& c : result) {
       stats->line_refs += c.loads + c.stores + c.atomics;
     }
-    stats->epochs = epochs_on ? ct.epochs : 0;
+    stats->epochs = opts.epoch_records != 0 ? ct.epochs : 0;
     stats->shards_used = S;
   }
   return result;

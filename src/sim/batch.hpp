@@ -5,7 +5,7 @@
 // BENCH_refstream hot path):
 //
 //   * Batched processing — per-reference dispatch (TLB walk, instruction
-//     accounting, attribution lookups) is hoisted into a serial pre-pass
+//     accounting, attribution lookups) is hoisted into a chunked pre-pass
 //     that compiles the stream into dense prepared references; the replay
 //     loop then touches only cache/directory state.
 //   * Intra-trial sharding — cache sets and directory homes are partitioned
@@ -18,11 +18,13 @@
 //     state transitions happen in exactly the order the serial replay would
 //     apply them.
 //   * Deterministic epoch merge — the only cross-shard coupling is the
-//     memory-controller rate estimate. Requests are tallied per epoch and
-//     merged at a barrier (`MemCtrl::begin_epoch_merged`); within an epoch
-//     the queueing delay depends only on the *previous* epoch's merged
-//     totals, so it is insensitive to both intra-epoch order and the shard
-//     count. Per-processor cycle and counter contributions are u64 sums of
+//     memory-controller rate estimate. Each shard seals its per-epoch
+//     request tally, the last shard to seal merges them in fixed order, and
+//     every shard installs the merged totals before its first blocking
+//     request of the next epoch (DESIGN.md §14); within an epoch the
+//     queueing delay depends only on the *previous* epoch's merged totals,
+//     so it is insensitive to both intra-epoch order and the shard count.
+//     Per-processor cycle and counter contributions are u64 sums of
 //     per-reference terms, which are permutation-invariant — merged results
 //     are bit-identical at any `shards` value, checker on or off.
 //
@@ -57,9 +59,9 @@ namespace dss::sim {
 /// input order plus all serial-side accounting that depends only on the
 /// stream and the machine's translation/CPI parameters — never on cache or
 /// directory state. Compilation is shard-count independent; routing a
-/// compiled trace to S shards is a single cheap scan (`replay_batched` does
-/// it internally), which is what lets a TraceCompileCache share one compile
-/// across every shard-count variant of the same (trace, machine) pair.
+/// compiled trace to S shards is a separate cheap pass (`route_shards`),
+/// which is what lets a TraceCompileCache share one compile across every
+/// shard-count variant of the same (trace, machine) pair.
 struct CompiledTrace {
   /// Per-unit segments of the input records, in stream order. Replaying
   /// these through access_batch is bit-identical to replaying the raw
@@ -82,22 +84,21 @@ struct CompiledTrace {
 };
 
 /// Compile pass: instruction-gap accounting, the per-processor TLB replay,
-/// and unit-splitting. Exactly the stream `replay_batched` replays. With a
-/// multi-thread `pool` and a large enough stream the compile runs as a
-/// chunk-parallel scan stitched by a serial prefix-sum pass (DESIGN.md §14);
-/// the output is bit-identical to the serial compile at every pool size —
-/// every global offset (segment positions, epoch boundaries, `serial_cum`)
-/// is reconstructed exactly by the stitch, and the per-processor TLB/gap
-/// replay depends only on that processor's record subsequence, which
-/// chunking preserves in order.
+/// and unit-splitting. Exactly the stream `replay_batched` replays. Runs as
+/// a chunked scan stitched by a serial prefix-sum pass (DESIGN.md §14), on
+/// `pool` when it has more than one thread and in index order otherwise.
+/// The output is bit-identical at every pool size: every global offset
+/// (segment positions, epoch boundaries, `serial_cum`) is reconstructed
+/// exactly by the stitch, and the per-processor TLB/gap replay depends only
+/// on that processor's record subsequence, which chunking preserves in
+/// order.
 [[nodiscard]] CompiledTrace compile_trace(
     const MachineConfig& cfg, const std::vector<TraceRecord>& records,
     u64 epoch_records = 0, ThreadPool* pool = nullptr);
 
 /// Process-wide memoization of compile_trace keyed by (trace contents,
-/// machine translation/CPI parameters, epoch_records). BENCH_refstream used
-/// to recompile the identical stream for every shard-count variant of a
-/// cell; one cache shared across variants compiles each stream once.
+/// machine translation/CPI parameters, epoch_records): one cache shared
+/// across the shard-count variants of a cell compiles each stream once.
 /// Thread-safe; deliberately an explicit object, never a global (the
 /// determinism contract bans mutable statics in src/sim).
 class TraceCompileCache {
@@ -119,6 +120,27 @@ class TraceCompileCache {
   u64 hits_ = 0;
 };
 
+/// One shard's slice of a compiled trace. At S == 1 the slice aliases the
+/// CompiledTrace refs directly (the single-shard stream IS the compiled
+/// stream); at S > 1 `storage` holds the shard's refs in stream order.
+struct ShardPlan {
+  const BatchRef* base = nullptr;
+  /// [k]: the shard's refs before compiled position `cuts[k]`.
+  std::vector<std::size_t> cut_end;
+  std::vector<BatchRef> storage;
+};
+
+/// Route a compiled trace to S (a power of two) shards: each ref goes to
+/// `(addr >> unit_shift) & (S - 1)`, preserving stream order within a
+/// shard, and each shard's size is snapshotted at every position in `cuts`
+/// (sorted, at most `ct.refs.size()`): the epoch ends for replay_batched,
+/// the phase boundaries for sample_replay. Runs as a chunked count / stitch
+/// / place pass on `pool` (in index order without one); the placement and
+/// the snapshots are identical at every pool size.
+[[nodiscard]] std::vector<ShardPlan> route_shards(
+    const CompiledTrace& ct, u32 S, const std::vector<std::size_t>& cuts,
+    ThreadPool* pool);
+
 struct ReplayOptions {
   /// Worker partitions; clamped to [1, max_shards(cfg)] (and rounded down
   /// to a power of two). Results are bit-identical at every value.
@@ -130,22 +152,14 @@ struct ReplayOptions {
   /// Miss-cause / CPI-stack attribution (observation-only; all other
   /// counters and every cycle count are bit-identical either way).
   bool attribution = true;
-  /// Pool for shard execution; nullptr (or a single-thread pool) runs
-  /// shards serially in index order. Results never depend on this.
+  /// Pool for the compile, the routing and the shard workers; nullptr (or
+  /// a single-thread pool) runs everything on the calling thread. Results
+  /// never depend on this.
   ThreadPool* pool = nullptr;
   /// Optional compile memoization shared across calls (sweeps replaying one
   /// stream at several shard counts compile it once). nullptr compiles
   /// privately. Results are bit-identical either way.
   TraceCompileCache* compile_cache = nullptr;
-  /// Overlap the serial MemCtrl merge of epoch e with shard compute of
-  /// epoch e+1 (DESIGN.md §14): shards seal their epoch tallies into
-  /// double-buffered per-epoch slots and run ahead; each shard blocks only
-  /// at its first blocking memory request of the new epoch, by which point
-  /// the merge is usually published. Engages only with epochs on, more than
-  /// one shard, and no `on_epoch` hook (the hook is a barrier seam); false
-  /// forces the barrier schedule. Results are bit-identical either way, at
-  /// every pool size.
-  bool pipeline = true;
   /// Called serially for each shard machine before replay begins; the seam
   /// sim/check uses to attach one invariant checker per shard (the observer
   /// seam is per-machine). Must only observe, never mutate.
@@ -153,18 +167,20 @@ struct ReplayOptions {
   /// Called for each shard machine after its last reference completes, on
   /// the worker that ran the shard (final checker sweeps).
   std::function<void(u32 shard, MachineSim&)> on_shard_done;
-  /// Called serially at each epoch barrier (after the merge, before the
-  /// next epoch's batches) with the index of the epoch about to run. Never
-  /// called when epoch_records == 0 — there are no barriers. The seam
-  /// sim/check uses to stamp epoch numbers into violation messages.
-  std::function<void(u64 epoch)> on_epoch;
+  /// Called on the worker that runs `shard`, before the shard starts each
+  /// epoch `epoch > 0`; per shard, epochs arrive in order. Never called
+  /// with a single epoch (epoch_records == 0, or no more records than one
+  /// epoch). The seam sim/check uses to stamp epoch numbers into the
+  /// shard's violation messages. An exception thrown here stops every
+  /// worker and is rethrown by replay_batched.
+  std::function<void(u32 shard, u64 epoch)> on_epoch;
 };
 
 /// Replay statistics (for throughput reporting).
 struct ReplayStats {
   u64 records = 0;    ///< input trace records replayed
   u64 line_refs = 0;  ///< per-L1-line references (loads + stores + atomics)
-  u64 epochs = 0;     ///< epoch barriers crossed (0 when epochs disabled)
+  u64 epochs = 0;     ///< epochs replayed (0 when epochs disabled)
   u32 shards_used = 1;
 };
 

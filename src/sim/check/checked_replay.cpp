@@ -23,20 +23,25 @@ CheckedReplayResult checked_replay_batched(const MachineConfig& cfg,
     shard_opts.shard = static_cast<i32>(shard);
     checkers[shard] = std::make_unique<InvariantChecker>(m, shard_opts);
   };
-  // Epoch barriers run serially; stamping every checker here means a
-  // violation thrown mid-epoch reports the window it happened in.
-  opts.on_epoch = [&](u64 epoch) {
-    for (auto& c : checkers) {
-      if (c != nullptr) c->set_epoch(epoch);
-    }
+  // Runs on the shard's own worker before each of its epochs, so a
+  // violation thrown mid-epoch reports the window it happened in; the
+  // checker belongs to that shard alone, so the stamp races with nothing.
+  opts.on_epoch = [&](u32 shard, u64 epoch) {
+    checkers[shard]->set_epoch(epoch);
   };
   opts.on_shard_done = [&](u32 shard, MachineSim&) {
     InvariantChecker& c = *checkers[shard];
     c.full_sweep();
-    const std::lock_guard<std::mutex> lock(fold_mu);
-    out.violations += c.violations().size();
-    out.accesses_observed += c.accesses_observed();
-    out.full_sweeps_run += c.full_sweeps_run();
+    {
+      const std::lock_guard<std::mutex> lock(fold_mu);
+      out.violations += c.violations().size();
+      out.accesses_observed += c.accesses_observed();
+      out.full_sweeps_run += c.full_sweeps_run();
+    }
+    // The checker detaches from its machine on destruction, and the shard
+    // machines die inside replay_batched: destroy it while the machine
+    // lives.
+    checkers[shard].reset();
   };
   out.counters = replay_batched(cfg, records, opts, &out.stats);
   return out;

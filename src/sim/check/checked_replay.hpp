@@ -35,8 +35,8 @@ struct CheckedReplayResult {
 /// every shard machine and a final full sweep per shard. Throws
 /// ProtocolViolation on the first violation when `copts.fail_fast` (the
 /// default). Metrics are bit-identical to an unchecked replay at any shard
-/// count; `opts.on_shard_start` / `on_shard_done` must be unset (the
-/// checker owns those seams here).
+/// count; `opts.on_shard_start` / `on_shard_done` / `on_epoch` must be
+/// unset (the checker owns those seams here).
 [[nodiscard]] CheckedReplayResult checked_replay_batched(
     const MachineConfig& cfg, const std::vector<TraceRecord>& records,
     ReplayOptions opts = {}, CheckerOptions copts = {});

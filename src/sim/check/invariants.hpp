@@ -85,8 +85,8 @@ class InvariantChecker final : public ProtocolObserver {
   void full_sweep();
 
   /// Advance the replay-epoch counter stamped into violation messages.
-  /// Called from the serial epoch barrier under checked_replay_batched;
-  /// meaningless (and unused) standalone.
+  /// Called by the shard's own replay worker before each epoch under
+  /// checked_replay_batched; meaningless (and unused) standalone.
   void set_epoch(u64 epoch) { epoch_ = epoch; }
   [[nodiscard]] u64 epoch() const { return epoch_; }
 

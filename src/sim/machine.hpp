@@ -229,13 +229,6 @@ class MachineSim {
   /// this once per lockstep window.
   void begin_epoch(u64 epoch_cycles) { mc_.begin_epoch(epoch_cycles); }
 
-  /// Epoch barrier of the shard-parallel replay core (sim/batch.hpp):
-  /// install the merged per-home request totals of the finished epoch and
-  /// start a new one.
-  void begin_epoch_merged(const std::vector<u32>& merged, u64 epoch_cycles) {
-    mc_.begin_epoch_merged(merged, epoch_cycles);
-  }
-
   /// Mutable memory-controller access for the pipelined replay core's
   /// seal / deferred-merge seams (sim/batch.cpp, DESIGN.md §14). Tests and
   /// checkers use the const `memctrl()` accessor below.
@@ -390,7 +383,7 @@ class MachineSim {
   DSS_REPLAY_SAFE MachineConfig cfg_;
   DSS_REPLAY_SAFE Interconnect net_;  ///< immutable topology + latencies
   DSS_SHARD_PARTITIONED Directory dir_;
-  DSS_EPOCH_MERGED MemCtrl mc_;  ///< rate estimates merged at epoch barriers
+  DSS_EPOCH_MERGED MemCtrl mc_;  ///< rate estimates merged at epoch ends
   /// [proc][level]
   DSS_SHARD_PARTITIONED std::vector<std::vector<SetAssocCache>> caches_;
   /// [proc], optional

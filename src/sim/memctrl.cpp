@@ -28,15 +28,6 @@ void MemCtrl::begin_epoch(u64 epoch_cycles) {
   recompute_delays();
 }
 
-void MemCtrl::begin_epoch_merged(const std::vector<u32>& merged,
-                                 u64 epoch_cycles) {
-  assert(merged.size() == cur_count_.size());
-  epoch_cycles_ = std::max<u64>(1, epoch_cycles);  // see begin_epoch
-  prev_count_ = merged;
-  std::fill(cur_count_.begin(), cur_count_.end(), 0);
-  recompute_delays();
-}
-
 void MemCtrl::install_merged(const u32* merged, std::size_t n,
                              u64 epoch_cycles) {
   assert(n == prev_count_.size());

@@ -30,18 +30,11 @@ class MemCtrl {
   // --- epoch-merge support for the shard-parallel replay core ---
 
   /// Requests observed so far in the current epoch, per home. The sharded
-  /// replay core reads every shard's counts at the epoch barrier and sums
+  /// replay core seals every shard's counts at the end of an epoch and sums
   /// them into one merged vector.
   [[nodiscard]] const std::vector<u32>& epoch_counts() const {
     return cur_count_;
   }
-
-  /// Install an externally merged per-home request count as the finished
-  /// epoch's rate estimate and start a new epoch of `epoch_cycles`. Because
-  /// every shard installs the *same* merged totals, queueing estimates in
-  /// the next epoch are identical across shards and independent of the shard
-  /// count — the determinism argument of DESIGN.md's sharded-core section.
-  void begin_epoch_merged(const std::vector<u32>& merged, u64 epoch_cycles);
 
   // --- deferred epoch resolve (pipelined replay core, DESIGN.md §14) ---
 
@@ -61,15 +54,17 @@ class MemCtrl {
   /// beginning. The resolver object is not owned and must outlive the epoch.
   void set_pending_epoch(EpochResolver* r) { pending_ = r; }
 
-  /// `begin_epoch_merged` without the tally reset: installs `merged[0..n)`
-  /// as the finished epoch's rate estimate over `epoch_cycles`, leaving
-  /// `cur_count_` untouched — by resolve time the running epoch may already
-  /// have accumulated posted requests, which belong to *its* tally.
+  /// Install an externally merged per-home request count `merged[0..n)` as
+  /// the finished epoch's rate estimate over `epoch_cycles`. Because every
+  /// shard installs the *same* merged totals, queueing estimates in the
+  /// next epoch are identical across shards and independent of the shard
+  /// count — the determinism argument of DESIGN.md's sharded-core section.
+  /// Leaves `cur_count_` untouched: by resolve time the running epoch may
+  /// already have accumulated posted requests, which belong to *its* tally.
   void install_merged(const u32* merged, std::size_t n, u64 epoch_cycles);
 
   /// Zero the running epoch tallies (the pipelined core's seal snapshots
-  /// them first; the barrier path gets the same reset via
-  /// `begin_epoch_merged`).
+  /// them first).
   void reset_epoch_counts() {
     std::fill(cur_count_.begin(), cur_count_.end(), 0);
   }

@@ -29,6 +29,21 @@ enum class Ph : u8 { kWarm, kDetail, kMeasured };
   return dist <= sched.warmup_records ? Ph::kDetail : Ph::kWarm;
 }
 
+/// End of the same-phase run of compiled refs that starts at `pos`:
+/// phase_of is constant on [pos, end), and so is the window inside a
+/// measured unit.
+[[nodiscard]] u64 phase_run_end(const SampleSchedule& sched, u64 pos) {
+  const u64 n = sched.unit_records;
+  const u64 k = sched.detail_every;
+  const u64 unit = pos / n;
+  if (unit % k == k - 1) return (unit + 1) * n;
+  const u64 measured_start = ((unit / k) * k + (k - 1)) * n;
+  const u64 detail_start = measured_start > sched.warmup_records
+                               ? measured_start - sched.warmup_records
+                               : 0;
+  return pos < detail_start ? detail_start : measured_start;
+}
+
 /// One contiguous same-phase run of a shard's sub-stream.
 struct Seg {
   Ph phase;
@@ -40,14 +55,13 @@ struct Seg {
 /// A shard's work list: the pure-warm prefix (checkpointable), then the
 /// phase-partitioned remainder.
 struct ShardWork {
-  const BatchRef* base = nullptr;
-  std::vector<BatchRef> storage;  ///< owns refs when shards > 1
-  std::size_t prefix = 0;         ///< refs before the live-point position
+  std::size_t prefix = 0;  ///< refs before the live-point position
   std::vector<Seg> segs;
 };
 
-/// Per-shard per-window accumulators, summed across shards after the
-/// barrier in fixed index order (deterministic at any pool/shard count).
+/// Per-shard per-window accumulators, summed across shards after every
+/// shard finishes, in fixed index order (deterministic at any pool/shard
+/// count).
 struct WindowSums {
   std::vector<double> stall;  ///< cycles folded by the machine (stall sum)
   std::vector<double> l1;
@@ -151,55 +165,60 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
                               sched.unit_records;
   const u64 windows = units / sched.detail_every;
 
-  // Partition the compiled stream: route each ref to its shard and carve
-  // each shard's sub-stream into same-phase segments, all in stream order.
-  std::vector<ShardWork> work(S);
-  if (S > 1) {
-    const u64 est = total_refs / S + total_refs / (8 * S) + 16;
-    for (ShardWork& w : work) w.storage.reserve(est);
+  // Cut the compiled stream wherever the phase (or the measurement window)
+  // changes, and count the refs each run contributes.
+  std::vector<std::size_t> cuts;  ///< [run]: end of the run
+  std::vector<Seg> runs;          ///< [run]: phase, window, global [lo, hi)
+  for (u64 pos = 0; pos < total_refs;) {
+    const u64 end = std::min(phase_run_end(sched, pos), total_refs);
+    const auto win =
+        static_cast<u32>((pos / sched.unit_records) / sched.detail_every);
+    runs.push_back(Seg{phase_of(sched, pos), win, pos, end});
+    cuts.push_back(end);
+    pos = end;
   }
   std::vector<double> w_refs(windows, 0.0);
   std::vector<u64> tot_proc(nproc, 0);
   std::vector<u64> meas_proc(nproc, 0);
   u64 detailed_refs = 0;
   u64 measured_refs = 0;
-  for (u64 i = 0; i < total_refs; ++i) {
-    const BatchRef& r = ct.refs[i];
-    const Ph ph = phase_of(sched, i);
-    const auto win =
-        static_cast<u32>((i / sched.unit_records) / sched.detail_every);
-    ++tot_proc[r.proc];
-    if (ph != Ph::kWarm) ++detailed_refs;
-    if (ph == Ph::kMeasured) {
-      ++measured_refs;
-      ++meas_proc[r.proc];
-      w_refs[win] += 1.0;
-    }
-    const u32 s =
-        S == 1 ? 0 : static_cast<u32>((r.addr >> ct.unit_shift) & (S - 1));
-    ShardWork& w = work[s];
-    std::size_t idx;
-    if (S == 1) {
-      idx = i;
-    } else {
-      w.storage.push_back(r);
-      idx = w.storage.size() - 1;
-    }
-    if (i < prefix_end) {
-      assert(ph == Ph::kWarm);
-      w.prefix = idx + 1;
-      continue;
-    }
-    if (!w.segs.empty() && w.segs.back().hi == idx &&
-        w.segs.back().phase == ph &&
-        (ph != Ph::kMeasured || w.segs.back().window == win)) {
-      w.segs.back().hi = idx + 1;
-    } else {
-      w.segs.push_back(Seg{ph, win, idx, idx + 1});
-    }
+  for (const BatchRef& r : ct.refs) ++tot_proc[r.proc];
+  for (const Seg& run : runs) {
+    const u64 len = run.hi - run.lo;
+    if (run.phase != Ph::kWarm) detailed_refs += len;
+    if (run.phase != Ph::kMeasured) continue;
+    measured_refs += len;
+    w_refs[run.window] += static_cast<double>(len);
+    for (std::size_t i = run.lo; i < run.hi; ++i) ++meas_proc[ct.refs[i].proc];
   }
-  for (ShardWork& w : work) {
-    w.base = S == 1 ? ct.refs.data() : w.storage.data();
+
+  // Route each ref to its shard, then carve each shard's sub-stream into
+  // same-phase segments at the per-shard cut snapshots, in stream order.
+  ThreadPool* pool = S > 1 ? opts.pool : nullptr;
+  const std::vector<ShardPlan> plans = route_shards(ct, S, cuts, pool);
+  std::vector<ShardWork> work(S);
+  for (u32 s = 0; s < S; ++s) {
+    ShardWork& w = work[s];
+    const std::vector<std::size_t>& cut_end = plans[s].cut_end;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const std::size_t lo = k == 0 ? 0 : cut_end[k - 1];
+      const std::size_t hi = cut_end[k];
+      if (runs[k].hi <= prefix_end) {
+        assert(runs[k].phase == Ph::kWarm);
+        w.prefix = hi;
+        continue;
+      }
+      if (lo == hi) continue;
+      const Ph ph = runs[k].phase;
+      const u32 win = runs[k].window;
+      if (!w.segs.empty() && w.segs.back().hi == lo &&
+          w.segs.back().phase == ph &&
+          (ph != Ph::kMeasured || w.segs.back().window == win)) {
+        w.segs.back().hi = hi;
+      } else {
+        w.segs.push_back(Seg{ph, win, lo, hi});
+      }
+    }
   }
 
   // Shard machines: TLB handled by the compile pass, contention model off
@@ -216,8 +235,6 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
     shard_ctr[s].assign(nproc, perf::Counters{});
     machine_ptrs.push_back(machines[s].get());
   }
-
-  ThreadPool* pool = S > 1 ? opts.pool : nullptr;
 
   // Live point: restore the warm prefix if a matching checkpoint exists,
   // otherwise warm through (in parallel) and checkpoint for the next cell.
@@ -236,7 +253,7 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   if (!lp_restored) {
     parallel_for_index(pool, S, [&](u64 s) {
       const ShardWork& w = work[s];
-      if (w.prefix > 0) machines[s]->warm_batch(w.base, w.prefix);
+      if (w.prefix > 0) machines[s]->warm_batch(plans[s].base, w.prefix);
     });
     if (lp_enabled) {
       lp_saved = save_live_point(lp_path, machine_ptrs, digest, prefix_end);
@@ -253,7 +270,7 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
     const ShardWork& w = work[s];
     std::vector<perf::Counters> snap(nproc);
     for (const Seg& seg : w.segs) {
-      const BatchRef* refs = w.base + seg.lo;
+      const BatchRef* refs = plans[s].base + seg.lo;
       const std::size_t n = seg.hi - seg.lo;
       switch (seg.phase) {
         case Ph::kWarm:

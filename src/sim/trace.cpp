@@ -7,9 +7,6 @@ namespace dss::sim {
 namespace {
 constexpr char kMagic[8] = {'D', 'S', 'S', 'T', 'R', 'C', '0', '1'};
 
-// Packed on-disk record layout (see trace.hpp).
-constexpr std::size_t kWireSize = 25;
-
 void encode(const TraceRecord& r, unsigned char* out) {
   std::memcpy(out + 0, &r.proc, sizeof r.proc);
   std::memcpy(out + 4, &r.kind, sizeof r.kind);
@@ -40,11 +37,11 @@ bool TraceWriter::save(const std::string& path) const {
   const u64 n = records_.size();
   ok = ok && std::fwrite(&n, sizeof n, 1, f) == 1;
   if (ok && n != 0) {
-    std::vector<unsigned char> wire(n * kWireSize);
+    std::vector<unsigned char> wire(n * kTraceRecordBytes);
     for (u64 i = 0; i < n; ++i) {
-      encode(records_[i], wire.data() + i * kWireSize);
+      encode(records_[i], wire.data() + i * kTraceRecordBytes);
     }
-    ok = std::fwrite(wire.data(), kWireSize, n, f) == n;
+    ok = std::fwrite(wire.data(), kTraceRecordBytes, n, f) == n;
   }
   ok = (std::fclose(f) == 0) && ok;
   return ok;
@@ -61,10 +58,10 @@ bool TraceReader::load(const std::string& path) {
   if (ok) {
     records_.resize(n);
     if (n != 0) {
-      std::vector<unsigned char> wire(n * kWireSize);
-      ok = std::fread(wire.data(), kWireSize, n, f) == n;
+      std::vector<unsigned char> wire(n * kTraceRecordBytes);
+      ok = std::fread(wire.data(), kTraceRecordBytes, n, f) == n;
       for (u64 i = 0; ok && i < n; ++i) {
-        decode(wire.data() + i * kWireSize, records_[i]);
+        decode(wire.data() + i * kTraceRecordBytes, records_[i]);
       }
     }
   }

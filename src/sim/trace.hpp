@@ -32,6 +32,10 @@ struct TraceRecord {
   u64 instr_gap;  ///< instructions retired since the previous reference
 };
 
+/// Bytes one record occupies in a trace file (the packed layout above; the
+/// in-memory struct is larger because of its padding).
+inline constexpr std::size_t kTraceRecordBytes = 25;
+
 /// Accumulates records in memory and writes them as a binary file.
 class TraceWriter {
  public:

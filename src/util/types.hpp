@@ -20,11 +20,12 @@
 //                          is a fixed-order integer sum.
 //
 //   DSS_EPOCH_MERGED       Mutable state that is cross-shard coupled but only
-//                          through the epoch barrier (the memory-controller
+//                          through the epoch merge (the memory-controller
 //                          rate estimate). Shards accumulate privately within
 //                          an epoch; identical merged totals are installed
-//                          into every shard at the barrier, so intra-epoch
-//                          order and the shard count never matter.
+//                          into every shard before it uses them, so
+//                          intra-epoch order and the shard count never
+//                          matter.
 //
 //   DSS_REPLAY_SAFE        State that is immutable while a replay is in
 //                          flight (geometry, latency tables, configuration,

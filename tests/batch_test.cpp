@@ -1,8 +1,12 @@
 // Tests for the batched, shard-parallel replay core (sim/batch.hpp):
 // equivalence with the legacy serial replay, bit-identity across shard
-// counts (serial and pooled), epoch-merge determinism, shard-geometry
+// counts (serial and pooled), epoch-merge determinism against recorded
+// epochs-on digests, unwinding after a failing shard, shard-geometry
 // limits, and the synthetic reference-stream generators.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <stdexcept>
 
 #include "perf/counters.hpp"
 #include "sim/batch.hpp"
@@ -74,6 +78,37 @@ std::vector<TraceRecord> stream(RefPattern pat, u32 nproc = 4,
   rc.records = records;
   rc.footprint_bytes = u64{256} << 10;
   return make_refstream(rc);
+}
+
+/// FNV-1a over every counter field the replay core writes, in a fixed
+/// order: one u64 that changes if any counter, miss cause, object-class
+/// tally or CPI-stack bucket moves.
+u64 counters_digest(const perf::Counters& c) {
+  u64 h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (u64 v : {c.cycles, c.instructions, c.spin_cycles, c.loads, c.stores,
+                c.atomics, c.l1d_misses, c.l2d_misses, c.dirty_misses,
+                c.cache_interventions, c.invalidations_recv, c.upgrades,
+                c.writebacks, c.migratory_transfers, c.tlb_misses,
+                c.mem_requests, c.mem_latency_cycles, c.remote_accesses}) {
+    mix(v);
+  }
+  for (u64 v : c.l1_miss_causes.by_cause) mix(v);
+  for (u64 v : c.l2_miss_causes.by_cause) mix(v);
+  for (u64 v : c.obj_misses) mix(v);
+  for (u64 v : c.obj_comm_misses) mix(v);
+  const perf::CpiStack& k = c.stack;
+  for (u64 v : {k.compute, k.spin, k.sched, k.tlb, k.atomics, k.l2_hit,
+                k.mem_local, k.mem_remote_near, k.mem_remote_mid,
+                k.mem_remote_far, k.intervention}) {
+    mix(v);
+  }
+  return h;
 }
 
 constexpr RefPattern kAllPatterns[] = {
@@ -248,21 +283,59 @@ TEST(ReplayBatched, ShardHooksSeeEveryShard) {
 }
 
 TEST(ReplayBatched, OnEpochSeamFiresAtEveryBarrier) {
+  ThreadPool pool(4);
   const MachineConfig cfg = vclass().scaled(16);
   const auto recs = stream(RefPattern::kHotProbe, 4, 8000);
   ReplayOptions opts;
-  opts.shards = 2;
-  opts.epoch_records = 1000;  // 8 epochs -> 7 barriers
-  std::vector<u64> epochs;
-  opts.on_epoch = [&](u64 e) { epochs.push_back(e); };
+  opts.shards = 4;
+  opts.pool = &pool;
+  opts.epoch_records = 1000;  // 8 epochs: each shard enters epochs 1..7
+  // Each shard's hook runs on that shard's worker only, so per-shard logs
+  // need no lock.
+  std::vector<std::vector<u64>> seen(4);
+  opts.on_epoch = [&](u32 shard, u64 e) { seen.at(shard).push_back(e); };
   (void)replay_batched(cfg, recs, opts, nullptr);
-  EXPECT_EQ(epochs, (std::vector<u64>{1, 2, 3, 4, 5, 6, 7}));
+  for (u32 s = 0; s < 4; ++s) {
+    EXPECT_EQ(seen[s], (std::vector<u64>{1, 2, 3, 4, 5, 6, 7})) << "shard " << s;
+  }
 
-  // No barriers when the epoch model is off.
+  // No epoch boundaries when the epoch model is off.
   opts.epoch_records = 0;
-  epochs.clear();
+  for (auto& v : seen) v.clear();
   (void)replay_batched(cfg, recs, opts, nullptr);
-  EXPECT_TRUE(epochs.empty());
+  for (const auto& v : seen) EXPECT_TRUE(v.empty());
+}
+
+TEST(ReplayBatched, FailingShardUnwindsEveryWorker) {
+  // A hook that throws in one shard must stop the other workers (some of
+  // them blocked waiting for a merge that shard will never seal) and reach
+  // the caller as the same exception; the pool must stay usable. ctest's
+  // TIMEOUT turns a deadlock here into a failure.
+  struct ShardFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  ThreadPool pool(4);
+  const MachineConfig cfg = origin2000().scaled(16);
+  const auto recs = stream(RefPattern::kPingPong);
+  ReplayOptions opts;
+  opts.shards = 4;
+  opts.pool = &pool;
+  opts.epoch_records = 1024;
+  opts.on_epoch = [](u32 shard, u64 epoch) {
+    if (shard == 1 && epoch == 3) throw ShardFailure("shard 1, epoch 3");
+  };
+  try {
+    (void)replay_batched(cfg, recs, opts, nullptr);
+    ADD_FAILURE() << "replay_batched returned normally";
+  } catch (const ShardFailure& e) {
+    EXPECT_STREQ(e.what(), "shard 1, epoch 3");
+  }
+  opts.on_epoch = nullptr;
+  ReplayOptions reference;
+  reference.epoch_records = 1024;
+  expect_all_eq(replay_batched(cfg, recs, reference, nullptr),
+                replay_batched(cfg, recs, opts, nullptr),
+                /*compare_stack=*/true, "after a failed replay");
 }
 
 TEST(ReplayBatched, EmptyStream) {
@@ -331,12 +404,13 @@ void expect_compiled_eq(const CompiledTrace& a, const CompiledTrace& b,
 }
 
 TEST(CompileTrace, ParallelBitIdenticalAcrossPoolSizes) {
-  // The stream must clear the parallel-compile threshold (32 Ki records) so
-  // the pooled compiles actually take the chunked three-pass path.
+  // At 300k records the chunk grain depends on the pool: the pool-free
+  // compile cuts 8 chunks, 2 threads 16 and 4 threads 19, so both the
+  // chunking and the concurrency differ from the reference.
   for (const MachineConfig& cfg :
        {vclass().scaled(16), origin2000().scaled(16)}) {
     for (RefPattern pat : {RefPattern::kMixed, RefPattern::kSeqScan}) {
-      const auto recs = stream(pat, 4, 40'000);
+      const auto recs = stream(pat, 4, 300'000);
       for (u64 epoch_records : {u64{0}, u64{5000}}) {
         const CompiledTrace serial = compile_trace(cfg, recs, epoch_records);
         for (u32 jobs : {2u, 4u}) {
@@ -368,29 +442,102 @@ TEST(CompileTrace, CacheHitMatchesParallelAndSerialCompiles) {
 }
 
 TEST(ReplayBatched, PipelinedVsBarrierBitIdentical) {
-  // The pipelined epoch engine (epoch overlap with deferred MemCtrl
-  // resolve) must be bit-identical to the barrier schedule at every shard
-  // count and pool size, on both machine models.
+  // Legacy sim::replay has no epochs, so the epochs-on results are pinned
+  // by digests recorded from the retired barrier-epoch engine at shards=1.
+  // The pipelined engine must reproduce them at every shard count and pool
+  // size: shards=1 runs it with one worker, shards > 1 overlaps the merge.
+  enum Machine : u8 { kVclass, kOrigin };
+  struct Reference {
+    Machine machine;
+    RefPattern pat;
+    u64 epoch_records;
+    std::array<u64, 4> digest;  ///< processors 0..3 of stream(pat)
+  };
+  static constexpr Reference kReference[] = {
+    {kVclass, RefPattern::kSeqScan, 1024,
+     {0x2659a32136e35f6bULL, 0xf051ea48401ebfcfULL,
+      0x1844ab3436f61be7ULL, 0x55bb885bd0d41294ULL}},
+    {kVclass, RefPattern::kSeqScan, 5000,
+     {0xd820f2c42b360f54ULL, 0x0b50662a0319fbcdULL,
+      0xf2f1ffdce4036e2dULL, 0x1fe615eb8b962f86ULL}},
+    {kVclass, RefPattern::kHotProbe, 1024,
+     {0xd480c28cb36cb285ULL, 0x86a771611c8326e0ULL,
+      0xd480c28cb36cb285ULL, 0x604b3655cb565c9dULL}},
+    {kVclass, RefPattern::kHotProbe, 5000,
+     {0xd480c28cb36cb285ULL, 0x86a771611c8326e0ULL,
+      0xd480c28cb36cb285ULL, 0x9391dff898334cd8ULL}},
+    {kVclass, RefPattern::kPointerChase, 1024,
+     {0x805c86a55b19836bULL, 0xb0fc3af6a94be5edULL,
+      0x066f1ee99e3c7c21ULL, 0x209787b43339842bULL}},
+    {kVclass, RefPattern::kPointerChase, 5000,
+     {0x7df8f1e47c33008fULL, 0xb8f63b1599bb717cULL,
+      0x8fd7167b5077bffcULL, 0xb85184ac8954445eULL}},
+    {kVclass, RefPattern::kPingPong, 1024,
+     {0xd175463f5454edccULL, 0xc1b614c2043640f1ULL,
+      0x73b9e771ac043588ULL, 0xa8dce801823beffeULL}},
+    {kVclass, RefPattern::kPingPong, 5000,
+     {0x114f084ed33ba2f2ULL, 0x70a3bd341c4501a3ULL,
+      0x46f471571a1a40a5ULL, 0x13d9f5daee0daa1eULL}},
+    {kVclass, RefPattern::kMixed, 1024,
+     {0xc2b3e833314b9082ULL, 0x689d7104013439bcULL,
+      0x66aa44709aa88e7dULL, 0xe95119eaf027a598ULL}},
+    {kVclass, RefPattern::kMixed, 5000,
+     {0x8b7aacf85f3d8615ULL, 0x58bafb080130ccc4ULL,
+      0x3fd151f6f7d92268ULL, 0xbf2f68ff1a373fb3ULL}},
+    {kOrigin, RefPattern::kSeqScan, 1024,
+     {0x0b989574157e9befULL, 0x77c563ff2112a3abULL,
+      0x46967d7eaf79fd94ULL, 0x5c19357abb108952ULL}},
+    {kOrigin, RefPattern::kSeqScan, 5000,
+     {0xad7876fef679abf7ULL, 0x1606fa13c9224268ULL,
+      0x44143f46600ce457ULL, 0xb6fd1b306c9976dfULL}},
+    {kOrigin, RefPattern::kHotProbe, 1024,
+     {0x0ab01bb188e61c29ULL, 0x7f756529d55226e6ULL,
+      0x0ab01bb188e61c29ULL, 0x7db891c582b310c3ULL}},
+    {kOrigin, RefPattern::kHotProbe, 5000,
+     {0x0ab01bb188e61c29ULL, 0x7f756529d55226e6ULL,
+      0x0ab01bb188e61c29ULL, 0xc96996c3816bf649ULL}},
+    {kOrigin, RefPattern::kPointerChase, 1024,
+     {0x34797e2a76b6289dULL, 0xee6cb3bd3a8cbc9aULL,
+      0xa1c29e6a713145a8ULL, 0x1ad99caa9dee2527ULL}},
+    {kOrigin, RefPattern::kPointerChase, 5000,
+     {0x005c294d49191cf3ULL, 0xb67f1d1641bdbe70ULL,
+      0x446ec2301adf0fb9ULL, 0x2e4277b850c63b57ULL}},
+    {kOrigin, RefPattern::kPingPong, 1024,
+     {0x3868f8f8a1252833ULL, 0x089d9b4062190592ULL,
+      0xcdb13876f627dc0dULL, 0x0c6c61fc4a64d3f0ULL}},
+    {kOrigin, RefPattern::kPingPong, 5000,
+     {0xa2594b353c118563ULL, 0xcde5f16b1d117461ULL,
+      0x76f8520166f22a36ULL, 0xcc9147c39da955d3ULL}},
+    {kOrigin, RefPattern::kMixed, 1024,
+     {0xfa19af5a77dd37e1ULL, 0xdadf600fc0eab536ULL,
+      0xf6ac946c0f1cd87bULL, 0x70719d9cd0be6b8eULL}},
+    {kOrigin, RefPattern::kMixed, 5000,
+     {0x4a44874c19eeca47ULL, 0x146bcce0d55d9d49ULL,
+      0x12ee483693fcb745ULL, 0x2a1e315eb822fe27ULL}},
+  };
   ThreadPool pool(4);
-  for (const MachineConfig& cfg :
-       {vclass().scaled(16), origin2000().scaled(16)}) {
-    for (RefPattern pat : {RefPattern::kPingPong, RefPattern::kMixed}) {
-      const auto recs = stream(pat);
-      ReplayOptions barrier;
-      barrier.epoch_records = 5000;
-      barrier.pipeline = false;
-      const auto base = replay_batched(cfg, recs, barrier, nullptr);
-      for (u32 shards : {2u, 8u}) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          ReplayOptions opts;
-          opts.epoch_records = 5000;
-          opts.shards = shards;
-          opts.pool = p;
-          const auto got = replay_batched(cfg, recs, opts, nullptr);
-          expect_all_eq(base, got, /*compare_stack=*/true,
-                        cfg.name + "/" + ref_pattern_name(pat) +
-                            "/pipelined shards=" + std::to_string(shards) +
-                            (p != nullptr ? "/pooled" : "/serial"));
+  const u64 idle = counters_digest(perf::Counters{});
+  for (const Reference& ref : kReference) {
+    const MachineConfig cfg = ref.machine == kOrigin ? origin2000().scaled(16)
+                                                     : vclass().scaled(16);
+    const auto recs = stream(ref.pat);
+    for (u32 shards : {1u, 2u, 4u, 8u}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        ReplayOptions opts;
+        opts.epoch_records = ref.epoch_records;
+        opts.shards = shards;
+        opts.pool = p;
+        ReplayStats st;
+        const auto got = replay_batched(cfg, recs, opts, &st);
+        SCOPED_TRACE(cfg.name + "/" + ref_pattern_name(ref.pat) + "/epochs=" +
+                     std::to_string(ref.epoch_records) +
+                     "/shards=" + std::to_string(shards) +
+                     (p != nullptr ? "/pooled" : "/serial"));
+        EXPECT_EQ(st.shards_used, shards);
+        ASSERT_EQ(got.size(), cfg.num_processors);
+        for (std::size_t q = 0; q < got.size(); ++q) {
+          EXPECT_EQ(counters_digest(got[q]), q < 4 ? ref.digest[q] : idle)
+              << "proc " << q;
         }
       }
     }
@@ -403,12 +550,10 @@ TEST(ReplayBatched, PipelinedManyEpochsManyShards) {
   ThreadPool pool(4);
   const MachineConfig cfg = origin2000().scaled(16);
   const auto recs = stream(RefPattern::kPingPong, 4, 32'768);
-  ReplayOptions barrier;
-  barrier.epoch_records = 1024;  // 32 epochs
-  barrier.pipeline = false;
-  const auto base = replay_batched(cfg, recs, barrier, nullptr);
-  ReplayOptions opts = barrier;
-  opts.pipeline = true;
+  ReplayOptions one_worker;
+  one_worker.epoch_records = 1024;  // 32 epochs
+  const auto base = replay_batched(cfg, recs, one_worker, nullptr);
+  ReplayOptions opts = one_worker;
   opts.shards = 8;
   opts.pool = &pool;
   for (int rep = 0; rep < 3; ++rep) {
@@ -462,6 +607,7 @@ TEST(RefStream, PatternsExerciseDistinctBehaviour) {
   EXPECT_GT(ping_inval, 0u);
   EXPECT_GT(ping_dirty, 0u);
 }
+
 
 }  // namespace
 }  // namespace dss::sim

@@ -71,7 +71,8 @@ TEST(MemCtrl, ZeroCycleEpochIsIdleNotSaturated) {
   // Same guard on the merged-epoch path, with load carried in: utilization
   // stays finite (clamped), never NaN.
   MemCtrl merged(2, 20);
-  merged.begin_epoch_merged({50, 0}, 0);
+  const u32 load[] = {50, 0};
+  merged.install_merged(load, 2, 0);
   EXPECT_TRUE(std::isfinite(merged.utilization(0)));
   EXPECT_LE(merged.utilization(0), 0.97);
   EXPECT_EQ(merged.utilization(1), 0.0);

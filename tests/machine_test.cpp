@@ -3,6 +3,8 @@
 // consistency, NUMA homing, and randomized invariant storms.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "perf/counters.hpp"
 #include "sim/machine.hpp"
 #include "sim/machine_configs.hpp"
@@ -318,6 +320,13 @@ struct StormParam {
   bool speculative;
   u64 seed;
 };
+
+// Without a printer gtest dumps the struct's bytes, name pointer included,
+// into the test name, which would then change from build to build.
+void PrintTo(const StormParam& sp, std::ostream* os) {
+  *os << "numa=" << sp.numa << " migratory=" << sp.migratory
+      << " speculative=" << sp.speculative << " seed=" << sp.seed;
+}
 
 class CoherenceStorm : public ::testing::TestWithParam<StormParam> {};
 

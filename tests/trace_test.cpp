@@ -39,6 +39,13 @@ TEST(Trace, SaveLoadRoundTrip) {
   }
   const std::string path = ::testing::TempDir() + "/t.dsstrace";
   ASSERT_TRUE(w.save(path));
+  // 8-byte magic, u64 record count, then the packed records.
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  EXPECT_EQ(static_cast<std::size_t>(std::ftell(f)),
+            16 + 500 * kTraceRecordBytes);
+  std::fclose(f);
   TraceReader rd;
   ASSERT_TRUE(rd.load(path));
   ASSERT_EQ(rd.records().size(), w.records().size());

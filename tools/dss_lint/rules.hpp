@@ -46,12 +46,13 @@ struct AnalysisOptions {
   /// Functions whose bodies seed the shard-safety reachability analysis.
   /// Covers the detailed replay core, the functional-warming path of
   /// sampled replay (warm_* run on the same pool-sharded machines), and the
-  /// pipelined-engine entry points (pipeline_worker runs shards on pool
-  /// workers; compile_trace_parallel runs the chunked compile scans there).
+  /// pool-worker entry points (pipeline_worker runs shards there;
+  /// compile_trace and route_shards run their chunked scans there).
   std::vector<std::string> shard_roots = {
-      "access_batch", "batch_plain",     "replay_batched",
-      "warm_batch",   "warm_plain",      "warm_access",
-      "sample_replay", "pipeline_worker", "compile_trace_parallel"};
+      "access_batch",  "batch_plain",     "replay_batched",
+      "warm_batch",    "warm_plain",      "warm_access",
+      "sample_replay", "pipeline_worker", "compile_trace",
+      "route_shards"};
   /// Functions whose bodies the hot-alloc rule bans allocation in (the
   /// `// dss-lint: hot-path` marker extends this per definition site).
   std::vector<std::string> hot_functions = {"lookup_fixed",
