@@ -1,27 +1,19 @@
-// BENCH_refstream — replay-core throughput scoreboard.
+// BENCH_refstream — replay-core counter scoreboard.
 //
 // Replays each synthetic reference pattern (sim/refstream.hpp) through the
 // batched, shard-parallel replay core (sim/batch.hpp) on both machine
-// models and reports host throughput in references per second. This is the
-// benchmark the "vectorized, shard-parallel simulator core" work is gated
-// on: `bench/BENCH_refstream.json` holds the committed pre-refactor
-// baseline, and the CI perf-smoke job diffs a fresh run against it with
-// `dss_report --perf-threshold` (refs_per_sec is the one host-dependent,
-// higher-is-better metric in the export; every simulated counter in the
-// document is exact and must not move at all).
+// models and reports the simulated counters of every stream. Its claim is
+// that the shard partition is transparent: every counter is bit-identical
+// at shards 1, 4 and 8. It measures no host time; replay throughput is
+// perfbench's `replay` workload (perfbench/README.md).
 //
-// Cells: {V-Class, Origin 2000} x {5 patterns} x {shards 1, 4, 8}, each
-// timed over `--trials` trials, best rate kept. Each trial repeats the
-// replay until it has run at least `--min-time` milliseconds (default 20),
-// so the reported rate is never a single sub-timer-floor measurement. The
+// Cells: {V-Class, Origin 2000} x {5 patterns} x {shards 1, 4, 8}. The
 // reference streams and all simulated counters depend only on --seed —
-// never on the host, the shard count, --jobs, or the repeat count. The
-// record count per stream is fixed (not a flag) so runs are comparable
-// across invocations by construction. `--epoch-records N` turns on the
-// scheduling-epoch contention model (default off here), which is what
-// engages the pipelined epoch engine at shards > 1.
-#include <chrono>
-#include <cmath>
+// never on the host, the shard count or --jobs. The record count per
+// stream is fixed (not a flag) so runs are comparable across invocations
+// by construction. `--epoch-records N` turns on the scheduling-epoch
+// contention model (default off here), which is what engages the
+// pipelined epoch engine at shards > 1.
 #include <iostream>
 #include <iterator>
 
@@ -32,79 +24,36 @@
 #include "sim/machine_configs.hpp"
 #include "sim/refstream.hpp"
 #include "sim/sample/sample.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
 using namespace dss;
 
-/// Fixed stream length: large enough that a replay takes milliseconds (the
-/// timer floor is ~microseconds), small enough that 30 cells x 4 trials
-/// finish in well under a minute even on the pre-refactor core.
+/// Fixed stream length per pattern.
 constexpr u64 kRecords = 200'000;
 
 /// Shard counts per cell; kShards[0] must be 1 (the per-row baseline the
-/// scoreboard and the bit-identity claim compare against).
+/// bit-identity claim compares against).
 constexpr u32 kShards[] = {1, 4, 8};
 constexpr std::size_t kVariants = std::size(kShards);
-
-/// Default per-trial measurement floor (overridable with --min-time).
-constexpr double kDefaultMinTimeMs = 20.0;
 
 struct Cell {
   perf::Platform platform;
   sim::RefPattern pattern;
   u32 shards;
-  double refs_per_sec = 0;
   std::vector<perf::Counters> counters;  ///< merged per-proc result
   sim::SampleReplayStats sample;         ///< sampled mode only
 };
-
-/// Time `trials` trials of `run` (each returning the merged counters) and
-/// return the best records/second. A trial repeats the replay until at
-/// least `min_time_ms` of wall-clock has elapsed and reports the aggregate
-/// rate, so even a sub-timer-floor single replay yields a finite, usable
-/// rate (the old NaN fallback for an unmeasurable best time is gone — a
-/// trial can no longer finish in zero time).
-template <typename RunFn>
-double time_replay(u64 records, u32 trials, double min_time_ms,
-                   std::vector<perf::Counters>& out, RunFn&& run) {
-  double best_rate = 0.0;
-  for (u32 t = 0; t < trials; ++t) {
-    u64 reps = 0;
-    double dt = 0.0;
-    // dss-lint: allow(nondet-clock) wall-clock throughput is this benchmark's product
-    const auto t0 = std::chrono::steady_clock::now();
-    do {
-      auto ctr = run();
-      ++reps;
-      const std::chrono::duration<double> elapsed =
-          // dss-lint: allow(nondet-clock) wall-clock throughput is this benchmark's product
-          std::chrono::steady_clock::now() - t0;
-      dt = elapsed.count();
-      if (t == 0 && reps == 1) out = std::move(ctr);
-    } while (dt * 1e3 < min_time_ms);
-    const double rate =
-        dt > 0.0 ? static_cast<double>(records * reps) / dt : 0.0;
-    best_rate = std::max(best_rate, rate);
-  }
-  return best_rate;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opts = core::parse_bench_options(argc, argv);
-  const u32 trials = std::max(1u, opts.trials);
   const u32 jobs =
       opts.jobs == 0 ? dss::ThreadPool::default_jobs() : opts.jobs;
-  const double min_time_ms =
-      opts.min_time_ms > 0.0 ? opts.min_time_ms : kDefaultMinTimeMs;
   std::cout << "(replay-core scoreboard: " << kRecords
-            << " records per stream, seed " << opts.seed << ", trials "
-            << trials << ", jobs " << jobs << ", min-time "
-            << Table::num(min_time_ms, 0) << "ms, scale 1/"
-            << opts.scale_denom;
+            << " records per stream, seed " << opts.seed << ", jobs " << jobs
+            << ", scale 1/" << opts.scale_denom;
   if (opts.epoch_records > 0) {
     std::cout << ", epoch-records " << opts.epoch_records;
   }
@@ -134,9 +83,9 @@ int main(int argc, char** argv) {
       {perf::Platform::Origin2000,
        sim::origin2000().scaled(opts.scale_denom)}};
 
-  // One compile cache across every (pattern, shard-count, trial) replay of
-  // a machine: each stream compiles once per machine instead of once per
-  // variant per trial.
+  // One compile cache across every (pattern, shard-count) replay of a
+  // machine: each stream compiles once per machine instead of once per
+  // variant.
   sim::TraceCompileCache compile_cache;
 
   std::vector<Cell> cells;
@@ -158,48 +107,35 @@ int main(int argc, char** argv) {
           so.pool = pool.get();
           so.compile_cache = &compile_cache;
           so.live_point_dir = opts.live_points;
-          cell.refs_per_sec =
-              time_replay(kRecords, trials, min_time_ms, cell.counters, [&] {
-                return sim::sample_replay(cfg, recs, sched, so, &cell.sample);
-              });
+          cell.counters =
+              sim::sample_replay(cfg, recs, sched, so, &cell.sample);
         } else {
           sim::ReplayOptions ro;
           ro.shards = shards;
           ro.epoch_records = opts.epoch_records;
           ro.pool = pool.get();
           ro.compile_cache = &compile_cache;
-          cell.refs_per_sec =
-              time_replay(kRecords, trials, min_time_ms, cell.counters,
-                          [&] { return sim::replay_batched(cfg, recs, ro); });
+          cell.counters = sim::replay_batched(cfg, recs, ro);
         }
         cells.push_back(std::move(cell));
       }
     }
   }
 
-  // Scoreboard: one row per (machine, pattern), columns per shard count.
-  Table t({"machine", "pattern", "refs/s shards=1", "refs/s shards=4",
-           "refs/s shards=8", "l1 misses", "cycles"});
+  // Scoreboard: one row per (machine, pattern), the shards=1 counters
+  // summed over processors (the other shard counts must match them).
+  Table t({"machine", "pattern", "cycles", "l1 misses", "l2 misses",
+           "mem requests", "cpi"});
   for (std::size_t i = 0; i + kVariants <= cells.size(); i += kVariants) {
-    const Cell& s1 = cells[i];
-    u64 misses = 0, cycles = 0;
-    for (const auto& c : s1.counters) {
-      misses += c.l1d_misses;
-      cycles += c.cycles;
-    }
-    t.add_row({perf::platform_name(s1.platform),
-               sim::ref_pattern_name(s1.pattern),
-               Table::num(cells[i].refs_per_sec, 0),
-               Table::num(cells[i + 1].refs_per_sec, 0),
-               Table::num(cells[i + 2].refs_per_sec, 0),
-               std::to_string(misses), std::to_string(cycles)});
+    perf::Counters sum;
+    for (const auto& c : cells[i].counters) sum += c;
+    t.add_row({perf::platform_name(cells[i].platform),
+               sim::ref_pattern_name(cells[i].pattern),
+               std::to_string(sum.cycles), std::to_string(sum.l1d_misses),
+               std::to_string(sum.l2d_misses),
+               std::to_string(sum.mem_requests), Table::num(sum.cpi(), 3)});
   }
-  core::print_figure(std::cout, "BENCH_refstream replay throughput", t);
-
-  std::vector<double> rates;
-  for (const Cell& c : cells) rates.push_back(c.refs_per_sec);
-  std::cout << "geomean refs/s: "
-            << Table::num(dss::geomean_of(rates), 0) << "\n\n";
+  core::print_figure(std::cout, "BENCH_refstream replay counters", t);
   if (sched.enabled() && !cells.empty()) {
     u64 total = 0, detailed = 0, restored = 0;
     for (const Cell& c : cells) {
@@ -227,7 +163,7 @@ int main(int argc, char** argv) {
       ec.platform = perf::platform_name(c.platform);
       ec.query = sim::ref_pattern_name(c.pattern);
       ec.nproc = static_cast<u32>(c.counters.size());
-      ec.trials = trials;
+      ec.trials = 1;
       ec.variant = "shards=" + std::to_string(c.shards);
       for (const auto& pc : c.counters) ec.result.mean += pc;
       const perf::Counters& m = ec.result.mean;
@@ -239,7 +175,6 @@ int main(int argc, char** argv) {
       ec.result.l1d_per_minstr = m.l1d_per_minstr();
       ec.result.l2d_per_minstr = m.l2d_per_minstr();
       ec.result.avg_mem_latency = m.avg_mem_latency();
-      ec.result.refs_per_sec = c.refs_per_sec;
       if (sched.enabled()) {
         ec.result.sampled = true;
         ec.result.sample_unit_records = sched.unit_records;
@@ -271,7 +206,7 @@ int main(int argc, char** argv) {
 
   // The scoreboard's correctness claim: the shard partition really is
   // transparent — every simulated counter is bit-identical across shard
-  // counts (refs_per_sec is the only value allowed to differ).
+  // counts.
   bool identical = true;
   for (std::size_t i = 0; i + kVariants <= cells.size(); i += kVariants) {
     const auto& a = cells[i].counters;

@@ -88,11 +88,6 @@ struct RunResult {
   double vol_ctx_per_minstr = 0;  ///< Fig. 10
   double invol_ctx_per_minstr = 0;
   double wall_seconds = 0;        ///< scheduler span (response time)
-  /// Host replay throughput in references per second (BENCH_refstream
-  /// cells; 0 everywhere else). The one host-dependent metric in the
-  /// export — written only when nonzero, and written as JSON `null` when
-  /// the host timer floor made the rate unmeasurable (NaN here).
-  double refs_per_sec = 0;
   std::vector<tpch::ResultRow> query_result;  ///< from process 0, trial 0
 
   /// Sampled-run provenance and accounting (all zero on full-detail runs).

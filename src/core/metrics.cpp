@@ -1,9 +1,13 @@
 #include "core/metrics.hpp"
 
-#include <cstring>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <ostream>
-#include <stdexcept>
+#include <string_view>
 #include <thread>
 
 namespace dss::core {
@@ -17,6 +21,50 @@ void print_figure(std::ostream& os, const std::string& title,
   os << '\n';
 }
 
+namespace {
+
+constexpr const char* kBenchUsage =
+    "[--scale N] [--trials N] [--seed N] [--jobs N] [--shards N] [--check] "
+    "[--metrics PATH] [--sample-units N] [--sample-detail K] "
+    "[--sample-warmup W] [--live-points DIR] [--sessions N] "
+    "[--arrival closed|open|both] [--think-time MS] [--target-load F] "
+    "[--cpus N,N,...] [--epoch-records N]";
+
+/// Print `msg` and the usage line to stderr, then exit 2: a bad command line
+/// is a usage error, never an uncaught exception.
+[[noreturn]] void usage_error(const std::string& bench,
+                              const std::string& msg) {
+  std::cerr << bench << ": " << msg << "\n"
+            << "usage: " << bench << " " << kBenchUsage << "\n";
+  std::exit(2);
+}
+
+/// Parse the whole of `text` as an unsigned decimal in [min, max]: no sign,
+/// no trailing characters, no overflow. Empty on any violation.
+std::optional<u64> parse_uint(std::string_view text, u64 min, u64 max) {
+  u64 v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < min || v > max) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// Parse the whole of `text` as a finite, unsigned decimal number.
+std::optional<double> parse_nonneg(std::string_view text) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || text[0] == '-' || ec != std::errc{} || ptr != end ||
+      !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace
+
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions o;
   if (argc > 0) {
@@ -24,100 +72,106 @@ BenchOptions parse_bench_options(int argc, char** argv) {
     const std::size_t slash = path.find_last_of('/');
     o.bench_name = slash == std::string::npos ? path : path.substr(slash + 1);
   }
+  const std::string& bench = o.bench_name;
   bool jobs_given = false;
   bool shards_given = false;
   for (int i = 1; i < argc; ++i) {
-    auto need_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        throw std::invalid_argument(std::string(flag) + " requires a value");
-      }
+    const std::string flag = argv[i];
+    auto value = [&]() -> std::string_view {
+      if (i + 1 >= argc) usage_error(bench, flag + " requires a value");
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--scale") == 0) {
-      o.scale_denom = static_cast<u32>(std::stoul(need_value("--scale")));
-    } else if (std::strcmp(argv[i], "--trials") == 0) {
-      o.trials = static_cast<u32>(std::stoul(need_value("--trials")));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      o.seed = std::stoull(need_value("--seed"));
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      o.jobs = static_cast<u32>(std::stoul(need_value("--jobs")));
+    auto uint_value = [&](u64 min = 0, u64 max = UINT64_MAX) -> u64 {
+      const std::string_view text = value();
+      const std::optional<u64> v = parse_uint(text, min, max);
+      if (!v) {
+        usage_error(bench, flag + " expects an integer in [" +
+                               std::to_string(min) + ", " +
+                               std::to_string(max) + "], got '" +
+                               std::string(text) + "'");
+      }
+      return *v;
+    };
+    auto u32_value = [&](u64 min = 0) {
+      return static_cast<u32>(uint_value(min, UINT32_MAX));
+    };
+    auto double_value = [&]() -> double {
+      const std::string_view text = value();
+      const std::optional<double> v = parse_nonneg(text);
+      if (!v) {
+        usage_error(bench, flag + " expects a non-negative number, got '" +
+                               std::string(text) + "'");
+      }
+      return *v;
+    };
+    if (flag == "--scale") {
+      o.scale_denom = u32_value(1);
+    } else if (flag == "--trials") {
+      o.trials = u32_value(1);
+    } else if (flag == "--seed") {
+      o.seed = uint_value();
+    } else if (flag == "--jobs") {
+      o.jobs = u32_value();
       jobs_given = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      o.shards = static_cast<u32>(std::stoul(need_value("--shards")));
+    } else if (flag == "--shards") {
+      o.shards = u32_value();
       shards_given = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
+    } else if (flag == "--check") {
       o.check = true;
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      o.metrics_path = need_value("--metrics");
-    } else if (std::strcmp(argv[i], "--sample-units") == 0) {
-      o.sample_units = std::stoull(need_value("--sample-units"));
-    } else if (std::strcmp(argv[i], "--sample-detail") == 0) {
-      o.sample_detail =
-          static_cast<u32>(std::stoul(need_value("--sample-detail")));
-    } else if (std::strcmp(argv[i], "--sample-warmup") == 0) {
-      o.sample_warmup = std::stoull(need_value("--sample-warmup"));
-    } else if (std::strcmp(argv[i], "--live-points") == 0) {
-      o.live_points = need_value("--live-points");
-    } else if (std::strcmp(argv[i], "--sessions") == 0) {
-      o.sessions = static_cast<u32>(std::stoul(need_value("--sessions")));
-    } else if (std::strcmp(argv[i], "--arrival") == 0) {
-      o.arrival = need_value("--arrival");
-    } else if (std::strcmp(argv[i], "--think-time") == 0) {
-      o.think_time_ms = std::stod(need_value("--think-time"));
-    } else if (std::strcmp(argv[i], "--target-load") == 0) {
-      o.target_load = std::stod(need_value("--target-load"));
-    } else if (std::strcmp(argv[i], "--cpus") == 0) {
+    } else if (flag == "--metrics") {
+      o.metrics_path = value();
+    } else if (flag == "--sample-units") {
+      o.sample_units = uint_value();
+    } else if (flag == "--sample-detail") {
+      o.sample_detail = u32_value();
+    } else if (flag == "--sample-warmup") {
+      o.sample_warmup = uint_value();
+    } else if (flag == "--live-points") {
+      o.live_points = value();
+    } else if (flag == "--sessions") {
+      o.sessions = u32_value();
+    } else if (flag == "--arrival") {
+      o.arrival = value();
+    } else if (flag == "--think-time") {
+      o.think_time_ms = double_value();
+    } else if (flag == "--target-load") {
+      o.target_load = double_value();
+    } else if (flag == "--cpus") {
+      const std::string_view list = value();
       o.cpus.clear();
-      std::string list = need_value("--cpus");
       std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t used = 0;
-        const unsigned long v = std::stoul(list.substr(pos), &used);
-        if (v == 0) {
-          throw std::invalid_argument("--cpus values must be >= 1");
+      while (true) {
+        const std::size_t comma = std::min(list.find(',', pos), list.size());
+        const std::optional<u64> v =
+            parse_uint(list.substr(pos, comma - pos), 1, UINT32_MAX);
+        if (!v) {
+          usage_error(bench,
+                      "--cpus expects a comma-separated list of integers "
+                      ">= 1, e.g. 8,16,32, got '" + std::string(list) + "'");
         }
-        o.cpus.push_back(static_cast<u32>(v));
-        pos += used;
-        if (pos < list.size()) {
-          if (list[pos] != ',') {
-            throw std::invalid_argument("--cpus expects a comma-separated "
-                                        "list, e.g. 8,16,32");
-          }
-          ++pos;
-        }
+        o.cpus.push_back(static_cast<u32>(*v));
+        if (comma == list.size()) break;
+        pos = comma + 1;
       }
-      if (o.cpus.empty()) {
-        throw std::invalid_argument("--cpus requires at least one value");
-      }
-    } else if (std::strcmp(argv[i], "--min-time") == 0) {
-      o.min_time_ms = std::stod(need_value("--min-time"));
-    } else if (std::strcmp(argv[i], "--epoch-records") == 0) {
-      o.epoch_records = std::stoull(need_value("--epoch-records"));
+    } else if (flag == "--epoch-records") {
+      o.epoch_records = uint_value();
     } else {
-      throw std::invalid_argument(std::string("unknown option: ") + argv[i]);
+      usage_error(bench, "unknown option: " + flag);
     }
   }
   if (o.sample_units > 0 && o.sample_detail < 2) {
-    throw std::invalid_argument(
-        "--sample-units requires --sample-detail >= 2 (every K-th unit is "
-        "measured; K = 1 is just a full-detail run)");
+    usage_error(bench,
+                "--sample-units requires --sample-detail >= 2 (every K-th "
+                "unit is measured; K = 1 is just a full-detail run)");
   }
   if (o.arrival != "closed" && o.arrival != "open" && o.arrival != "both") {
-    throw std::invalid_argument(
-        "--arrival expects 'closed', 'open', or 'both'");
-  }
-  if (o.think_time_ms < 0.0 || o.target_load < 0.0) {
-    throw std::invalid_argument(
-        "--think-time and --target-load must be non-negative");
-  }
-  if (o.min_time_ms < 0.0) {
-    throw std::invalid_argument("--min-time must be non-negative");
+    usage_error(bench, "--arrival expects 'closed', 'open', or 'both'");
   }
   if (o.sample_units > 0 && o.check) {
-    throw std::invalid_argument(
-        "--check cannot be combined with sampling: the invariant checker's "
-        "counter-conservation identities do not hold across the "
-        "functional-warming path");
+    usage_error(bench,
+                "--check cannot be combined with sampling: the invariant "
+                "checker's counter-conservation identities do not hold "
+                "across the functional-warming path");
   }
   // Clamp thread-ish counts with a warning rather than erroring or silently
   // oversubscribing. Warnings go to stderr so stdout tables and --metrics

@@ -32,8 +32,7 @@ void print_figure(std::ostream& os, const std::string& title,
 /// checker to every trial; observation-only, metrics unchanged),
 /// --metrics PATH (write every cell the binary runs as one schema-versioned
 /// JSON document; see core/run_export.hpp and tools/dss_report),
-/// --min-time MS (repeat each timing trial until it has run at least MS of
-/// wall-clock; see BenchOptions::min_time_ms), --epoch-records N
+/// --epoch-records N
 /// (scheduling-epoch length for replay-driven benches that default to
 /// epochs off).
 ///
@@ -56,10 +55,13 @@ void print_figure(std::ostream& os, const std::string& title,
 /// (comma-separated simulated CPU counts to sweep, e.g. "8,16,32").
 /// Binaries without a serving mode simply ignore these fields.
 ///
-/// An explicit `--jobs 0` or `--shards 0`, or a value above the host's
-/// hardware concurrency, is clamped with a warning on stderr (stdout and
-/// any --metrics JSON stay byte-identical). Unrecognized options and flags
-/// missing their value raise.
+/// Numbers parse strictly: the whole token, unsigned decimal, no overflow
+/// (--scale and --trials must be >= 1). An explicit `--jobs 0` or
+/// `--shards 0`, or a value above the host's hardware concurrency, is
+/// clamped with a warning on stderr (stdout and any --metrics JSON stay
+/// byte-identical). An unknown option, a missing or malformed value, or an
+/// inconsistent combination prints the problem and a usage line to stderr
+/// and exits with status 2.
 struct BenchOptions {
   u32 scale_denom = 16;
   u32 trials = 4;
@@ -78,13 +80,6 @@ struct BenchOptions {
   double think_time_ms = 50.0;      ///< serving, closed loop: mean think
   double target_load = 0.0;         ///< serving, open loop: 0 = sweep preset
   std::vector<u32> cpus = {8, 16, 32};  ///< serving: simulated CPU sweep
-  /// Minimum measured wall-clock per timing trial, in milliseconds: a trial
-  /// repeats its workload until it has run at least this long, and reports
-  /// the aggregate rate. 0 keeps each bench's default. Raising it trades
-  /// bench wall-clock for tighter rate estimates on fast cells; the
-  /// simulated results of every repeat are identical, so exports never
-  /// depend on it.
-  double min_time_ms = 0.0;
   /// Scheduling-epoch length (input records per epoch) for replay-driven
   /// benches that default to epochs off; 0 keeps the bench's default.
   u64 epoch_records = 0;

@@ -138,18 +138,6 @@ void write_cell(std::ostream& os, int indent, const ExportCell& cell) {
     m.num("vol_ctx_per_minstr", cell.result.vol_ctx_per_minstr);
     m.num("invol_ctx_per_minstr", cell.result.invol_ctx_per_minstr);
     m.num("wall_seconds", cell.result.wall_seconds);
-    // Always emitted since schema v4: a number (0 for cells that did not
-    // replay a reference stream) or null for NaN. The v2/v3 omit-when-zero
-    // rule made "missing" and "null" impossible to tell apart downstream.
-    // No bench produces the null case anymore — BENCH_refstream's
-    // repeat-until --min-time timing guarantees a measurable rate — but
-    // NaN must still serialize as null, never as invalid JSON.
-    if (std::isnan(cell.result.refs_per_sec)) {
-      m.key("refs_per_sec");
-      os << "null";
-    } else {
-      m.num("refs_per_sec", cell.result.refs_per_sec);
-    }
     m.close();
   }
   if (cell.serving.has_value()) {
@@ -292,10 +280,8 @@ const util::Json* get_typed(std::vector<std::string>& problems,
 }
 
 void check_all_numbers(std::vector<std::string>& problems,
-                       const util::Json& obj, const std::string& ctx,
-                       const char* nullable_key = nullptr) {
+                       const util::Json& obj, const std::string& ctx) {
   for (const auto& [k, v] : obj.as_object()) {
-    if (nullable_key != nullptr && k == nullable_key && v.is_null()) continue;
     if (!v.is_number()) {
       problems.push_back(ctx + ": \"" + k + "\" is not a number");
     }
@@ -312,10 +298,10 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
   }
   if (const util::Json* v = get_typed(problems, doc, "schema_version",
                                       util::Json::Type::Number, "document")) {
-    const u32 version = static_cast<u32>(v->as_number());
-    if (version < kMetricsSchemaMinVersion || version > kMetricsSchemaVersion) {
+    if (v->as_number() != kMetricsSchemaVersion) {
       problems.push_back("unsupported schema_version " +
-                         std::to_string(v->as_number()));
+                         fmt_double(v->as_number()) + " (this build reads " +
+                         std::to_string(kMetricsSchemaVersion) + ")");
     }
   }
   get_typed(problems, doc, "bench", util::Json::Type::String, "document");
@@ -340,8 +326,7 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
     get_typed(problems, cell, "variant", util::Json::Type::String, ctx);
     if (const util::Json* m = get_typed(problems, cell, "metrics",
                                         util::Json::Type::Object, ctx)) {
-      // refs_per_sec alone may be null (v3): rate unmeasurable on this host.
-      check_all_numbers(problems, *m, ctx + ".metrics", "refs_per_sec");
+      check_all_numbers(problems, *m, ctx + ".metrics");
     }
     // Optional v4 member, present only on serving cells: "arrival" is a
     // string ("closed"/"open"), every other member is a number.
@@ -531,40 +516,8 @@ DiffReport diff_metrics(const util::Json& before, const util::Json& after,
       }
       const util::Json* bv = bm.get(metric);
       if (bv == nullptr) {
-        // "refs_per_sec" was omitted when zero before schema v4, so its
-        // absence from one side of a cross-version diff is expected —
-        // report it, but as information, not a failure. Any other metric
-        // disappearing is a real comparison error.
-        if (metric == "refs_per_sec") {
-          MetricDelta d;
-          d.cell = label;
-          d.metric = metric;
-          if (av.is_number()) d.before = av.as_number();
-          d.note = av.is_null() ? "null in before, missing from after"
-                                : "missing from after (pre-v4 document)";
-          rep.deltas.push_back(d);
-        } else {
-          rep.errors.push_back("cell " + label + ": metric " + metric +
-                               " missing from the after run");
-        }
-        continue;
-      }
-      // A null rate means the host timer floor was hit: the value is
-      // unknown, not zero. Both null — nothing to compare. Null on exactly
-      // one side — the pair is incomparable, but silence would hide it and
-      // a numeric gate would fabricate a regression out of an unknown:
-      // record an informational delta instead.
-      if (av.is_null() || bv->is_null()) {
-        if (av.is_null() != bv->is_null()) {
-          MetricDelta d;
-          d.cell = label;
-          d.metric = metric;
-          if (av.is_number()) d.before = av.as_number();
-          if (bv->is_number()) d.after = bv->as_number();
-          d.note = av.is_null() ? "null in before, number in after"
-                                : "number in before, null in after";
-          rep.deltas.push_back(d);
-        }
+        rep.errors.push_back("cell " + label + ": metric " + metric +
+                             " missing from the after run");
         continue;
       }
       MetricDelta d;
@@ -589,42 +542,16 @@ DiffReport diff_metrics(const util::Json& before, const util::Json& after,
         // when the worse-direction move clears both the statistical noise
         // floor and the plain relative threshold.
         if (ha > 0.0 || hb > 0.0) {
-          const double worse = metric == "refs_per_sec"
-                                   ? d.before - d.after
-                                   : d.after - d.before;
           d.regression =
-              worse > std::max(d.combined_ci,
-                               opts.rel_threshold * std::fabs(d.before));
+              d.after - d.before >
+              std::max(d.combined_ci, opts.rel_threshold * std::fabs(d.before));
         }
-      } else if (metric == "refs_per_sec") {
-        // Every exported metric is higher-is-worse (times, misses, latency,
-        // switch rates) except throughput, which gates on downward movement
-        // with its own (looser, host-noise-tolerant) threshold.
-        d.regression = d.rel < -opts.perf_threshold;
       } else {
+        // Every exported metric is higher-is-worse: times, misses, latency,
+        // switch rates.
         d.regression = d.rel > opts.rel_threshold;
       }
       rep.deltas.push_back(d);
-    }
-    // The reverse direction of the pre-v4 omission: "refs_per_sec" only in
-    // the after document (the before run predates always-emit). The loop
-    // above iterates the before side, so this is the only key that can
-    // appear on the after side alone by design.
-    if (am.get("refs_per_sec") == nullptr) {
-      const bool wanted =
-          opts.only_metrics.empty() ||
-          std::find(opts.only_metrics.begin(), opts.only_metrics.end(),
-                    "refs_per_sec") != opts.only_metrics.end();
-      if (const util::Json* bv = bm.get("refs_per_sec"); bv && wanted) {
-        MetricDelta d;
-        d.cell = label;
-        d.metric = "refs_per_sec";
-        if (bv->is_number()) d.after = bv->as_number();
-        d.note = bv->is_null()
-                     ? "missing from before (pre-v4 document), null in after"
-                     : "missing from before (pre-v4 document)";
-        rep.deltas.push_back(d);
-      }
     }
     diff_serving(rep, label, a_cell->get("serving"), it->second->get("serving"),
                  opts);

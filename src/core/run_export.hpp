@@ -21,27 +21,21 @@ namespace dss::core {
 
 /// Bump when the JSON layout changes shape. Version history:
 ///   1 — initial layout.
-///   2 — adds the optional "refs_per_sec" metric (replay throughput,
-///       BENCH_refstream); omitted when zero, so v1 documents parse
-///       unchanged and readers accept both versions.
+///   2 — adds an optional metric holding the host replay rate in
+///       references per second (BENCH_refstream), omitted when zero.
 ///   3 — sampled runs (DESIGN.md §12) add two optional per-cell objects:
 ///       "sample" (the sampling schedule plus reference accounting) and
 ///       "metric_ci" (95% confidence half-widths keyed like "metrics");
-///       "refs_per_sec" may be JSON null when the host timer floor made
-///       the rate unmeasurable. Full-detail documents are unchanged.
-///   4 — "refs_per_sec" is always emitted: a number (0 for cells that did
-///       not replay a reference stream) or null (ran but unmeasurable) —
-///       "missing" can no longer be confused with "null". Serving cells
-///       (DESIGN.md §13) add an optional per-cell "serving" object:
-///       arrival mode, offered load, QphH-style throughput, and per-session
+///       the host rate may be null when the timer floor made it
+///       unmeasurable.
+///   4 — the host rate is always emitted (a number or null). Serving cells
+///       (DESIGN.md §13) add an optional per-cell "serving" object: arrival
+///       mode, offered load, QphH-style throughput, and per-session
 ///       end-to-end latency percentiles.
-///       (Writers no longer produce the null case: BENCH_refstream's
-///       repeat-until --min-time timing guarantees a measurable rate, so
-///       every emitted "refs_per_sec" is a number. Readers still accept
-///       null in v3/v4 documents.)
-inline constexpr u32 kMetricsSchemaVersion = 4;
-/// Oldest schema version readers still accept.
-inline constexpr u32 kMetricsSchemaMinVersion = 1;
+///   5 — the host rate is gone: host wall-clock never enters the document,
+///       so every metric is a simulated, deterministic number. Readers
+///       accept only this version.
+inline constexpr u32 kMetricsSchemaVersion = 5;
 
 /// One exported configuration cell: identifying labels + its RunResult.
 struct ExportCell {
@@ -67,7 +61,7 @@ struct MetricsDoc {
   std::vector<ExportCell> cells;
 };
 
-/// Serialize `doc` as schema-version-1 JSON.
+/// Serialize `doc` as schema-version-`kMetricsSchemaVersion` JSON.
 void write_metrics_json(std::ostream& os, const MetricsDoc& doc);
 
 /// Write to `path`; throws std::runtime_error when the file cannot be
@@ -83,11 +77,6 @@ struct DiffOptions {
   /// Relative delta above which a higher-is-worse metric counts as a
   /// regression (and a lower one as an improvement).
   double rel_threshold = 0.05;
-  /// Gate for the higher-is-BETTER throughput metric ("refs_per_sec"):
-  /// a drop of more than this fraction counts as a regression. Wider than
-  /// `rel_threshold` because host timing is noisy where simulated metrics
-  /// are exact (the CI perf-smoke job gates at 15%).
-  double perf_threshold = 0.15;
   /// Confidence-interval-aware gating for sampled runs. When set, ONLY
   /// metrics that carry a CI (in either document's "metric_ci") gate: a
   /// regression needs the worse-direction move to exceed both the combined
@@ -115,12 +104,6 @@ struct MetricDelta {
   /// "metric_ci" entries; 0 when neither side has one.
   double combined_ci = 0.0;
   bool regression = false;
-  /// Non-empty for one-sided observations that cannot be compared
-  /// numerically — e.g. "refs_per_sec" null on one side and a number on the
-  /// other, or present in only one document (pre-v4 omitted it when zero).
-  /// Such deltas are informational: never regressions, never silently
-  /// dropped. `before`/`after` hold the numeric side when there is one.
-  std::string note;
 };
 
 struct DiffReport {

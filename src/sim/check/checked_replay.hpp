@@ -35,8 +35,10 @@ struct CheckedReplayResult {
 /// every shard machine and a final full sweep per shard. Throws
 /// ProtocolViolation on the first violation when `copts.fail_fast` (the
 /// default). Metrics are bit-identical to an unchecked replay at any shard
-/// count; `opts.on_shard_start` / `on_shard_done` / `on_epoch` must be
-/// unset (the checker owns those seams here).
+/// count. `opts.on_shard_start` / `on_shard_done` must be unset (the
+/// checker owns those seams here); `opts.on_epoch`, if set, runs after the
+/// checker has stamped the shard's epoch. Each checker is owned by its
+/// shard machine, so none outlives its machine, also when a shard throws.
 [[nodiscard]] CheckedReplayResult checked_replay_batched(
     const MachineConfig& cfg, const std::vector<TraceRecord>& records,
     ReplayOptions opts = {}, CheckerOptions copts = {});

@@ -25,6 +25,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -242,6 +243,12 @@ class MachineSim {
   /// the invariant checker in sim/check builds on this seam.
   void set_observer(ProtocolObserver* obs) { obs_ = obs; }
   [[nodiscard]] ProtocolObserver* observer() const { return obs_; }
+  /// Attach `obs` and own it: it is destroyed with this machine, before
+  /// any other member, so it can never outlive the machine it observes.
+  void own_observer(std::unique_ptr<ProtocolObserver> obs) {
+    obs_ = obs.get();
+    owned_obs_ = std::move(obs);
+  }
 
   /// Inject a test-only protocol fault (CheckFault::kNone restores correct
   /// behaviour). Used to prove the checkers detect known-bad protocols.
@@ -407,6 +414,9 @@ class MachineSim {
   DSS_SHARD_PARTITIONED std::vector<std::array<LineHist, 2>> hist_;
   /// Per-proc scratch: CPI parts of the access in flight (attribution).
   DSS_SHARD_PARTITIONED std::vector<perf::CpiStack> parts_;
+  /// Observer adopted by own_observer(). Declared last so it is destroyed
+  /// first, while the members it may read on detach are still alive.
+  DSS_REPLAY_SAFE std::unique_ptr<ProtocolObserver> owned_obs_;
 };
 
 }  // namespace dss::sim

@@ -1,6 +1,6 @@
-// Minimal JSON support: string escaping for the writers (bench_json.hpp,
-// the --metrics run exporter) and a small recursive-descent parser for the
-// readers (tools/dss_report). No external dependency; the subset implemented
+// Minimal JSON support: string escaping for the writer (the --metrics run
+// exporter) and a small recursive-descent parser for the readers
+// (tools/dss_report). No external dependency; the subset implemented
 // is exactly what the repo's own writers emit (null, bool, finite numbers,
 // strings, arrays, objects).
 #pragma once

@@ -383,6 +383,41 @@ TEST(CheckedReplay, SweepsCoverEveryShardMachine) {
                 /*compare_stack=*/true, "checked sweep interval");
 }
 
+TEST(CheckedReplay, FailingShardFreesEveryCheckerWithItsMachine) {
+  // A shard that throws stops its siblings before they reach on_shard_done,
+  // and the shard machines die inside replay_batched. No checker may
+  // outlive its machine on that path: ASan reports a heap-use-after-free
+  // when a checker detaches from a dead machine. The caller must see the
+  // shard's own exception, and a checked replay afterwards still matches.
+  struct ShardFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  ThreadPool pool(4);
+  const MachineConfig cfg = origin2000().scaled(16);
+  const auto recs = stream(RefPattern::kPingPong);
+  ReplayOptions opts;
+  opts.shards = 4;
+  opts.pool = &pool;
+  opts.epoch_records = 1024;
+  opts.on_epoch = [](u32 shard, u64 epoch) {
+    if (shard == 1 && epoch == 3) throw ShardFailure("shard 1, epoch 3");
+  };
+  try {
+    (void)check::checked_replay_batched(cfg, recs, opts);
+    ADD_FAILURE() << "checked_replay_batched returned normally";
+  } catch (const ShardFailure& e) {
+    EXPECT_STREQ(e.what(), "shard 1, epoch 3");
+  }
+  opts.on_epoch = nullptr;
+  const auto checked = check::checked_replay_batched(cfg, recs, opts);
+  EXPECT_EQ(checked.violations, 0u);
+  ReplayOptions reference;
+  reference.epoch_records = 1024;
+  expect_all_eq(replay_batched(cfg, recs, reference, nullptr),
+                checked.counters, /*compare_stack=*/true,
+                "checked replay after a failed one");
+}
+
 void expect_compiled_eq(const CompiledTrace& a, const CompiledTrace& b,
                         const std::string& where) {
   SCOPED_TRACE(where);

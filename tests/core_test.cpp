@@ -2,7 +2,10 @@
 // parsing, and the figure-table plumbing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
@@ -79,11 +82,59 @@ TEST(BenchOptions, DefaultsAndErrors) {
   EXPECT_EQ(o.scale_denom, 16u);
   EXPECT_EQ(o.trials, 4u);
   const char* bad[] = {"bench", "--wat"};
-  EXPECT_THROW((void)parse_bench_options(2, const_cast<char**>(bad)),
-               std::invalid_argument);
+  EXPECT_EXIT((void)parse_bench_options(2, const_cast<char**>(bad)),
+              testing::ExitedWithCode(2), "unknown option: --wat");
   const char* dangling[] = {"bench", "--scale"};
-  EXPECT_THROW((void)parse_bench_options(2, const_cast<char**>(dangling)),
-               std::invalid_argument);
+  EXPECT_EXIT((void)parse_bench_options(2, const_cast<char**>(dangling)),
+              testing::ExitedWithCode(2), "--scale requires a value");
+}
+
+/// Run the parser on `bench <args...>`.
+void parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  (void)parse_bench_options(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchOptionsDeathTest, EveryNumericFlagRejectsBadValuesWithUsage) {
+  // A bad numeric value prints the problem and a usage line and exits 2:
+  // never an uncaught exception, never a sign wrapped around. Every numeric
+  // flag is tried with a non-number, no value and a negative value, plus
+  // partial, signed, overflowing, empty and out-of-range tokens.
+  std::vector<std::vector<std::string>> cases = {
+      {"--scale", "12abc"},          {"--scale", "+3"},
+      {"--scale", " 3"},             {"--scale", ""},
+      {"--scale", "0"},              {"--trials", "0"},
+      {"--jobs", "4294967296"},      {"--seed", "18446744073709551616"},
+      {"--think-time", "nan"},       {"--target-load", "0.5x"},
+      {"--cpus", "4,x"},             {"--cpus", "4,"},
+      {"--cpus", "4,0"},             {"--cpus", ""}};
+  for (const char* flag :
+       {"--scale", "--trials", "--seed", "--jobs", "--shards",
+        "--sample-units", "--sample-detail", "--sample-warmup", "--sessions",
+        "--think-time", "--target-load", "--cpus", "--epoch-records"}) {
+    cases.push_back({flag, "abc"});
+    cases.push_back({flag});
+    cases.push_back({flag, "-1"});
+  }
+  for (const auto& args : cases) {
+    SCOPED_TRACE(args[0] + (args.size() > 1 ? " '" + args[1] + "'" : ""));
+    EXPECT_EXIT(parse(args), testing::ExitedWithCode(2),
+                std::string(args.size() > 1 ? "expects" : "requires a value") +
+                    ".*usage: bench ");
+  }
+}
+
+TEST(BenchOptions, AcceptsBoundaryValues) {
+  const char* argv[] = {"bench",      "--seed",        "18446744073709551615",
+                        "--sessions", "4294967295",    "--think-time",
+                        "0.5",        "--cpus",        "1,32"};
+  const auto o = parse_bench_options(9, const_cast<char**>(argv));
+  EXPECT_EQ(o.seed, UINT64_MAX);
+  EXPECT_EQ(o.sessions, UINT32_MAX);
+  EXPECT_DOUBLE_EQ(o.think_time_ms, 0.5);
+  EXPECT_EQ(o.cpus, (std::vector<u32>{1, 32}));
 }
 
 TEST(Figures, PrintFigureIncludesCsvBlock) {

@@ -2,7 +2,6 @@
 // run-to-run diffing (the machinery behind `--metrics` and dss_report).
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <sstream>
 
 #include "core/run_export.hpp"
@@ -66,6 +65,30 @@ TEST(RunExport, WrittenDocumentPassesSchemaCheck) {
   EXPECT_DOUBLE_EQ(cell.get("cpi_stack")->get("compute")->as_number(), 1e6);
 }
 
+TEST(RunExport, WrittenDocumentIsV5WithoutHostRate) {
+  // Host wall-clock never enters the document: schema v5 dropped the old
+  // host-timed replay rate, so no cell carries the key.
+  const util::Json doc = round_trip(make_doc(1e6, 2e6));
+  EXPECT_DOUBLE_EQ(doc.get("schema_version")->as_number(), 5.0);
+  for (const util::Json& cell : doc.get("cells")->as_array()) {
+    EXPECT_EQ(cell.get("metrics")->get("refs_per_sec"), nullptr);
+  }
+}
+
+TEST(RunExport, SchemaCheckRejectsV4Document) {
+  std::ostringstream os;
+  write_metrics_json(os, make_doc(1e6, 2e6));
+  std::string text = os.str();
+  const std::string v5 = "\"schema_version\": 5";
+  const std::size_t at = text.find(v5);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, v5.size(), "\"schema_version\": 4");
+  const auto problems = check_metrics_schema(util::json_parse(text));
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0].rfind("unsupported schema_version", 0), 0u)
+      << problems[0];
+}
+
 TEST(RunExport, EmptyDocumentStillValidates) {
   MetricsDoc doc;
   doc.bench = "empty";
@@ -86,7 +109,7 @@ TEST(RunExport, SchemaCheckRejectsWrongVersionAndShapes) {
   EXPECT_FALSE(check_metrics_schema(util::json_parse("[1, 2]")).empty());
   // A cell missing its metrics object is reported, not crashed on.
   const auto problems = check_metrics_schema(util::json_parse(
-      R"({"schema_version": 1, "bench": "x", "scale_denom": 16, "seed": 1,
+      R"({"schema_version": 5, "bench": "x", "scale_denom": 16, "seed": 1,
           "cells": [{"platform": "V-Class", "query": "Q6", "nproc": 1,
                      "trials": 1, "variant": ""}]})"));
   EXPECT_FALSE(problems.empty());
@@ -165,118 +188,24 @@ TEST(RunExport, SampledCellRoundTripsWithCiObjects) {
   EXPECT_EQ(j.get("cells")->as_array()[1].get("metric_ci"), nullptr);
 }
 
-TEST(RunExport, RefsPerSecAlwaysEmitted) {
-  // Schema v4: the key is always present — a number (0 for non-replay
-  // cells) or null (ran but unmeasurable). "Missing" now only ever means
-  // a pre-v4 document.
-  MetricsDoc doc = make_doc(1e6, 2e6);
-  doc.cells[0].result.refs_per_sec =
-      std::numeric_limits<double>::quiet_NaN();
-  const util::Json a = round_trip(doc);
-  EXPECT_TRUE(check_metrics_schema(a).empty());
-  const util::Json* null_rate =
-      a.get("cells")->as_array()[0].get("metrics")->get("refs_per_sec");
-  ASSERT_NE(null_rate, nullptr);
-  EXPECT_TRUE(null_rate->is_null());
-  const util::Json* zero_rate =
-      a.get("cells")->as_array()[1].get("metrics")->get("refs_per_sec");
-  ASSERT_NE(zero_rate, nullptr);
-  EXPECT_TRUE(zero_rate->is_number());
-  EXPECT_DOUBLE_EQ(zero_rate->as_number(), 0.0);
-}
-
-TEST(RunExport, NullVsNumberIsInformationalNotRegression) {
-  MetricsDoc before_doc = make_doc(1e6, 2e6);
-  before_doc.cells[0].result.refs_per_sec =
-      std::numeric_limits<double>::quiet_NaN();
-  before_doc.cells[1].result.refs_per_sec = 5e6;
-  // The same cell measured a real rate in the after run: an unknown vs a
-  // number is incomparable — an informational delta, not a silent skip and
-  // not a phantom 100% regression. Test both directions.
-  MetricsDoc after_doc = make_doc(1e6, 2e6);
-  after_doc.cells[0].result.refs_per_sec = 4e6;
-  after_doc.cells[1].result.refs_per_sec =
-      std::numeric_limits<double>::quiet_NaN();
-
-  const DiffReport rep =
-      diff_metrics(round_trip(before_doc), round_trip(after_doc), {});
-  EXPECT_TRUE(rep.errors.empty());
-  EXPECT_FALSE(rep.has_regressions());
-  int notes = 0;
-  for (const MetricDelta& d : rep.deltas) {
-    if (d.metric != "refs_per_sec") continue;
-    ++notes;
-    EXPECT_FALSE(d.note.empty()) << d.cell;
-    EXPECT_FALSE(d.regression);
-    if (d.cell.find("Q6") != std::string::npos) {
-      EXPECT_EQ(d.note, "null in before, number in after");
-      EXPECT_DOUBLE_EQ(d.after, 4e6);
-    } else {
-      EXPECT_EQ(d.note, "number in before, null in after");
-      EXPECT_DOUBLE_EQ(d.before, 5e6);
-    }
-  }
-  EXPECT_EQ(notes, 2);
-}
-
-/// A minimal pre-v4 document: "refs_per_sec" omitted (the old
-/// omit-when-zero rule) unless `refs_entry` injects one.
-util::Json legacy_doc(const std::string& refs_entry) {
-  return util::json_parse(
-      R"({"schema_version": 3, "bench": "legacy", "scale_denom": 64,
-          "seed": 7, "cells": [{
-            "platform": "V-Class", "query": "Q6", "nproc": 4, "trials": 1,
-            "variant": "", "metrics": {"cpi": 1.5)" +
-      refs_entry +
-      R"(}, "counters": {}, "miss_causes": {"l1": {}, "l2": {}},
-            "obj_misses": {}, "cpi_stack": {}}]})");
-}
-
-TEST(RunExport, MissingVsPresentRefsPerSecIsInformational) {
-  // before: pre-v4, key omitted; after: v4, key present (number or null).
-  // Both directions must surface as informational notes, never errors or
-  // regressions — any other metric disappearing stays an error.
-  const util::Json old = legacy_doc("");
-  const util::Json with_num = legacy_doc(", \"refs_per_sec\": 3e6");
-  const util::Json with_null = legacy_doc(", \"refs_per_sec\": null");
-
-  {
-    const DiffReport rep = diff_metrics(old, with_num, {});
-    EXPECT_TRUE(rep.errors.empty());
-    EXPECT_FALSE(rep.has_regressions());
-    int notes = 0;
-    for (const MetricDelta& d : rep.deltas) {
-      if (d.metric != "refs_per_sec") continue;
-      ++notes;
-      EXPECT_EQ(d.note, "missing from before (pre-v4 document)");
-      EXPECT_DOUBLE_EQ(d.after, 3e6);
-    }
-    EXPECT_EQ(notes, 1);
-  }
-  {
-    const DiffReport rep = diff_metrics(with_null, old, {});
-    EXPECT_TRUE(rep.errors.empty());
-    EXPECT_FALSE(rep.has_regressions());
-    int notes = 0;
-    for (const MetricDelta& d : rep.deltas) {
-      if (d.metric != "refs_per_sec") continue;
-      ++notes;
-      EXPECT_EQ(d.note, "null in before, missing from after");
-    }
-    EXPECT_EQ(notes, 1);
-  }
-  {
-    // A non-refs metric vanishing is still a hard error.
-    const util::Json missing_cpi = util::json_parse(
-        R"({"schema_version": 3, "bench": "legacy", "scale_denom": 64,
+TEST(RunExport, MetricMissingFromAfterIsAnError) {
+  // Every metric is a simulated number present in every v5 document, so a
+  // metric vanishing between two runs is a comparison error, not a delta.
+  const auto doc = [](const std::string& metrics) {
+    return util::json_parse(
+        R"({"schema_version": 5, "bench": "x", "scale_denom": 64,
             "seed": 7, "cells": [{
               "platform": "V-Class", "query": "Q6", "nproc": 4, "trials": 1,
-              "variant": "", "metrics": {}, "counters": {},
-              "miss_causes": {"l1": {}, "l2": {}}, "obj_misses": {},
-              "cpi_stack": {}}]})");
-    const DiffReport rep = diff_metrics(old, missing_cpi, {});
-    EXPECT_FALSE(rep.errors.empty());
-  }
+              "variant": "", "metrics": {)" +
+        metrics +
+        R"(}, "counters": {}, "miss_causes": {"l1": {}, "l2": {}},
+              "obj_misses": {}, "cpi_stack": {}}]})");
+  };
+  const DiffReport rep = diff_metrics(doc(R"("cpi": 1.5)"), doc(""), {});
+  ASSERT_EQ(rep.errors.size(), 1u);
+  EXPECT_EQ(rep.errors[0], "cell V-Class/Q6/4: metric cpi missing from the "
+                           "after run");
+  EXPECT_TRUE(rep.deltas.empty());
 }
 
 ExportCell make_serving_cell(double p99, double qph) {
@@ -326,7 +255,7 @@ TEST(RunExport, ServingCellRoundTripsAndValidates) {
   EXPECT_EQ(plain.get("cells")->as_array()[0].get("serving"), nullptr);
   // A serving object with a non-numeric metric is rejected.
   const auto problems = check_metrics_schema(util::json_parse(
-      R"({"schema_version": 4, "bench": "x", "scale_denom": 16, "seed": 1,
+      R"({"schema_version": 5, "bench": "x", "scale_denom": 16, "seed": 1,
           "cells": [{"platform": "V-Class", "query": "Q6", "nproc": 1,
                      "trials": 1, "variant": "", "metrics": {},
                      "serving": {"arrival": "open", "p99_ms": "slow"},

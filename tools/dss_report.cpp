@@ -6,9 +6,6 @@
 //   dss_report before.json after.json      diff two runs; exit 1 when any
 //                                          metric regressed past --threshold
 //   dss_report --threshold 0.10 a.json b.json
-//   dss_report --perf-threshold 0.15 a.json b.json
-//                                          gate for the higher-is-better
-//                                          refs_per_sec throughput metric
 //   dss_report --ci-gate a.json b.json     CI-aware diff for sampled runs:
 //                                          only metrics carrying a 95%
 //                                          half-width ("metric_ci") gate,
@@ -16,7 +13,7 @@
 //                                          the combined CI and --threshold
 //
 // Exit codes: 0 clean, 1 regression past threshold, 2 usage/parse/schema
-// error — so CI can gate on "1 means the change is slower, 2 means the
+// error — so CI can gate on "1 means a metric got worse, 2 means the
 // tooling is broken".
 #include <cmath>
 #include <cstdio>
@@ -39,7 +36,7 @@ using dss::util::Json;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threshold F] [--perf-threshold F] [--ci-gate] "
+               "usage: %s [--threshold F] [--ci-gate] "
                "[--metric NAME]... [--check-schema] [--expect-regression] "
                "<run.json> [after.json]\n",
                argv0);
@@ -128,10 +125,6 @@ void print_run(const Json& doc) {
     const Json& m = *cell.get("metrics");
     const Json* ci = cell.get("metric_ci");
     for (const auto& [k, v] : m.as_object()) {
-      if (v.is_null()) {
-        std::printf("  %-22s null (timer floor)\n", k.c_str());
-        continue;
-      }
       const Json* h = ci == nullptr ? nullptr : ci->get(k);
       if (h != nullptr && h->is_number()) {
         std::printf("  %-22s %.6g ±%.3g\n", k.c_str(), v.as_number(),
@@ -181,23 +174,7 @@ int print_diff(const DiffReport& rep, const DiffOptions& opts) {
 
   std::size_t moved = 0;
   for (const MetricDelta& d : rep.deltas) {
-    // One-sided observations (null vs number, missing vs present) carry a
-    // note instead of a comparable pair: always shown, never gated.
-    if (!d.note.empty()) {
-      std::printf("%-11s %s %s: %s\n", "info", d.cell.c_str(),
-                  d.metric.c_str(), d.note.c_str());
-      continue;
-    }
-    // Per-cell throughput ratio, printed for every comparable throughput
-    // pair regardless of the gate: the perf scoreboard reads speedups off
-    // the diff directly instead of dividing refs/s by hand.
-    if (d.metric == "refs_per_sec" && d.before > 0.0) {
-      std::printf("%-11s %s: %.2fx (%.6g -> %.6g refs/s)\n", "speedup",
-                  d.cell.c_str(), d.after / d.before, d.before, d.after);
-    }
-    const double gate = d.metric == "refs_per_sec" ? opts.perf_threshold
-                                                   : opts.rel_threshold;
-    if (std::fabs(d.rel) <= gate && !d.regression) continue;
+    if (std::fabs(d.rel) <= opts.rel_threshold && !d.regression) continue;
     ++moved;
     // Under --ci-gate a big move in a metric with no CI is informational
     // (sampling legitimately shifts wall time), not an improvement claim.
@@ -232,13 +209,6 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return usage(argv[0]);
       try {
         opts.rel_threshold = std::stod(argv[++i]);
-      } catch (const std::exception&) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--perf-threshold") == 0) {
-      if (i + 1 >= argc) return usage(argv[0]);
-      try {
-        opts.perf_threshold = std::stod(argv[++i]);
       } catch (const std::exception&) {
         return usage(argv[0]);
       }
