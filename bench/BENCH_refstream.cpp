@@ -43,6 +43,7 @@ struct Cell {
   u32 shards;
   std::vector<perf::Counters> counters;  ///< merged per-proc result
   sim::SampleReplayStats sample;         ///< sampled mode only
+  core::RunResult result;                ///< derived from the summed counters
 };
 
 }  // namespace
@@ -117,6 +118,13 @@ int main(int argc, char** argv) {
           ro.compile_cache = &compile_cache;
           cell.counters = sim::replay_batched(cfg, recs, ro);
         }
+        // A replay has no per-process trials to average: the stream is one
+        // machine-wide sample of summed counters.
+        perf::Counters sum;
+        for (const auto& pc : cell.counters) sum += pc;
+        const sim::ExecSampleSummary* summary = &cell.sample;
+        cell.result = core::derive_result(sum, 1, sum.avg_mem_latency(), 0.0,
+                                          1, sched, {summary, 1});
         cells.push_back(std::move(cell));
       }
     }
@@ -127,13 +135,13 @@ int main(int argc, char** argv) {
   Table t({"machine", "pattern", "cycles", "l1 misses", "l2 misses",
            "mem requests", "cpi"});
   for (std::size_t i = 0; i + kVariants <= cells.size(); i += kVariants) {
-    perf::Counters sum;
-    for (const auto& c : cells[i].counters) sum += c;
+    const perf::Counters& sum = cells[i].result.mean;
     t.add_row({perf::platform_name(cells[i].platform),
                sim::ref_pattern_name(cells[i].pattern),
                std::to_string(sum.cycles), std::to_string(sum.l1d_misses),
                std::to_string(sum.l2d_misses),
-               std::to_string(sum.mem_requests), Table::num(sum.cpi(), 3)});
+               std::to_string(sum.mem_requests),
+               Table::num(cells[i].result.cpi, 3)});
   }
   core::print_figure(std::cout, "BENCH_refstream replay counters", t);
   if (sched.enabled() && !cells.empty()) {
@@ -165,39 +173,7 @@ int main(int argc, char** argv) {
       ec.nproc = static_cast<u32>(c.counters.size());
       ec.trials = 1;
       ec.variant = "shards=" + std::to_string(c.shards);
-      for (const auto& pc : c.counters) ec.result.mean += pc;
-      const perf::Counters& m = ec.result.mean;
-      ec.result.thread_time_cycles = static_cast<double>(m.cycles);
-      ec.result.cpi = m.cpi();
-      ec.result.cycles_per_minstr = m.cycles_per_minstr();
-      ec.result.l1d_misses = static_cast<double>(m.l1d_misses);
-      ec.result.l2d_misses = static_cast<double>(m.l2d_misses);
-      ec.result.l1d_per_minstr = m.l1d_per_minstr();
-      ec.result.l2d_per_minstr = m.l2d_per_minstr();
-      ec.result.avg_mem_latency = m.avg_mem_latency();
-      if (sched.enabled()) {
-        ec.result.sampled = true;
-        ec.result.sample_unit_records = sched.unit_records;
-        ec.result.sample_detail_every = sched.detail_every;
-        ec.result.sample_warmup_records = sched.warmup_records;
-        ec.result.sample_total_refs = c.sample.total_refs;
-        ec.result.sample_detailed_refs = c.sample.detailed_refs;
-        ec.result.sample_measured_refs = c.sample.measured_refs;
-        ec.result.sample_windows = c.sample.windows;
-        const double refs = static_cast<double>(c.sample.total_refs);
-        const double instr = static_cast<double>(m.instructions);
-        ec.result.ci_thread_time_cycles =
-            c.sample.stall_per_ref.ci_half * refs;
-        ec.result.ci_cpi = c.sample.cpi.ci_half;
-        ec.result.ci_cycles_per_minstr = c.sample.cpi.ci_half * 1e6;
-        ec.result.ci_l1d_misses = c.sample.l1_per_ref.ci_half * refs;
-        ec.result.ci_l2d_misses = c.sample.l2_per_ref.ci_half * refs;
-        ec.result.ci_l1d_per_minstr =
-            c.sample.l1_per_ref.ci_half * refs / (instr / 1e6);
-        ec.result.ci_l2d_per_minstr =
-            c.sample.l2_per_ref.ci_half * refs / (instr / 1e6);
-        ec.result.ci_avg_mem_latency = c.sample.lat_per_req.ci_half;
-      }
+      ec.result = c.result;
       doc.cells.push_back(std::move(ec));
     }
     core::write_metrics_file(opts.metrics_path, doc);

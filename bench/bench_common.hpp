@@ -7,12 +7,10 @@
 // EXPERIMENTS.md).
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -74,36 +72,6 @@ inline core::ExperimentRunner make_runner(const core::BenchOptions& o) {
   return runner;
 }
 
-/// Sweep of one platform over the paper's process-count series for all three
-/// queries. Cells live in a pre-sized vector indexed by (query index in
-/// core::kQueries, position of nproc in core::kProcSeries), so a parallel
-/// fill writes each cell into its own slot — no insertion-ordered shared map.
-class SweepResults {
- public:
-  SweepResults()
-      : cells_(core::kQueries.size() * core::kProcSeries.size()) {}
-
-  [[nodiscard]] const core::RunResult& at(std::pair<int, u32> key) const {
-    return cells_.at(index(key.first, key.second));
-  }
-  [[nodiscard]] core::RunResult& slot(int qi, u32 np) {
-    return cells_.at(index(qi, np));
-  }
-
- private:
-  [[nodiscard]] static std::size_t index(int qi, u32 np) {
-    const auto& series = core::kProcSeries;
-    const auto it = std::find(series.begin(), series.end(), np);
-    if (it == series.end()) {
-      throw std::out_of_range("nproc not in kProcSeries");
-    }
-    return static_cast<std::size_t>(qi) * series.size() +
-           static_cast<std::size_t>(it - series.begin());
-  }
-
-  std::vector<core::RunResult> cells_;
-};
-
 /// A batch of (platform, query, nproc) cells executed by one `run_cells`
 /// call, addressable by coordinates. The map is filled serially after the
 /// parallel run completes, so iteration order never depends on threading.
@@ -155,38 +123,28 @@ inline CellBatch cell_batch(
   return out;
 }
 
+/// One platform's (query x nproc) sweep over the paper's process-count
+/// series, addressed as `at({query index in core::kQueries, nproc})`.
+class SweepResults {
+ public:
+  SweepResults(perf::Platform platform, CellBatch batch)
+      : platform_(platform), batch_(std::move(batch)) {}
+
+  [[nodiscard]] const core::RunResult& at(std::pair<int, u32> key) const {
+    return batch_.at(platform_, core::kQueries.at(key.first), key.second);
+  }
+
+ private:
+  perf::Platform platform_;
+  CellBatch batch_;
+};
+
 /// Run the full (query x nproc) sweep as one batch of cells on the runner's
 /// thread pool. Results are bit-identical to the serial per-cell loop.
 inline SweepResults run_sweep(core::ExperimentRunner& runner,
                               perf::Platform platform,
                               const core::BenchOptions& opts) {
-  std::vector<core::ExperimentConfig> cfgs;
-  cfgs.reserve(core::kQueries.size() * core::kProcSeries.size());
-  for (auto q : core::kQueries) {
-    for (u32 np : core::kProcSeries) {
-      core::ExperimentConfig cfg;
-      cfg.platform = platform;
-      cfg.query = q;
-      cfg.nproc = np;
-      cfg.trials = opts.trials;
-      cfg.scale = runner.scale();
-      cfg.seed = opts.seed;
-      cfg.check = opts.check;
-      cfgs.push_back(cfg);
-    }
-  }
-  auto results = runner.run_cells(cfgs);
-
-  SweepResults out;
-  std::size_t i = 0;
-  int qi = 0;
-  for ([[maybe_unused]] auto q : core::kQueries) {
-    for (u32 np : core::kProcSeries) {
-      out.slot(qi, np) = std::move(results[i++]);
-    }
-    ++qi;
-  }
-  return out;
+  return {platform, cell_batch(runner, opts, core::kProcSeries, {platform})};
 }
 
 /// Render one metric of a sweep as the paper's line-chart table: one row per

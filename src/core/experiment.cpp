@@ -86,13 +86,75 @@ RunResult ExperimentRunner::run(const ExperimentConfig& cfg) {
   return std::move(run_cells({&cfg, 1}).front());
 }
 
+RunResult derive_result(const perf::Counters& sum, u64 samples,
+                        double mem_lat_sum, double wall_sum, u32 trials,
+                        const sim::SampleSchedule& sched,
+                        std::span<const sim::ExecSampleSummary> trial_samples) {
+  const double nsamp = static_cast<double>(samples);
+  RunResult r;
+  r.mean = sum;  // totals; the ratios below divide totals directly
+  r.thread_time_cycles = static_cast<double>(sum.cycles) / nsamp;
+  r.cpi = sum.cpi();
+  r.cycles_per_minstr = sum.cycles_per_minstr();
+  r.l1d_misses = static_cast<double>(sum.l1d_misses) / nsamp;
+  r.l2d_misses = static_cast<double>(sum.l2d_misses) / nsamp;
+  r.l1d_per_minstr = sum.l1d_per_minstr();
+  r.l2d_per_minstr = sum.l2d_per_minstr();
+  r.avg_mem_latency = mem_lat_sum / nsamp;
+  r.vol_ctx_per_minstr = sum.vol_ctx_per_minstr();
+  r.invol_ctx_per_minstr = sum.invol_ctx_per_minstr();
+  r.wall_seconds = wall_sum / trials;
+  if (!sched.enabled()) return r;
+
+  // Each summary's half-widths are on one trial's machine-wide totals. Stall
+  // cycles are the only estimated component of `cycles` (compute and spin
+  // are exact), so the CI on summed cycles is the CI on summed stalls.
+  // Trials are independent runs, so half-widths on summed totals combine in
+  // quadrature: h = sqrt(sum h_t^2). Each exported metric divides a total
+  // (cycles, misses) by an exactly-known denominator (instructions,
+  // samples), so its half-width divides the same way.
+  r.sampled = true;
+  r.sample_unit_records = sched.unit_records;
+  r.sample_detail_every = sched.detail_every;
+  r.sample_warmup_records = sched.warmup_records;
+  auto sq = [](double h) { return h * h; };
+  double sq_cycles = 0, sq_l1 = 0, sq_l2 = 0, sq_lat = 0;
+  for (const sim::ExecSampleSummary& s : trial_samples) {
+    r.sample_total_refs += s.total_refs;
+    r.sample_detailed_refs += s.detailed_refs;
+    r.sample_measured_refs += s.measured_refs;
+    r.sample_windows += s.windows;
+    const double refs = static_cast<double>(s.total_refs);
+    sq_cycles += sq(s.stall_per_ref.ci_half * refs);
+    sq_l1 += sq(s.l1_per_ref.ci_half * refs);
+    sq_l2 += sq(s.l2_per_ref.ci_half * refs);
+    sq_lat += sq(s.lat_per_req.ci_half);
+  }
+  const double h_cycles = std::sqrt(sq_cycles);
+  const double h_l1 = std::sqrt(sq_l1);
+  const double h_l2 = std::sqrt(sq_l2);
+  const double instr = static_cast<double>(sum.instructions);
+  r.ci_thread_time_cycles = h_cycles / nsamp;
+  r.ci_cpi = h_cycles / instr;
+  r.ci_cycles_per_minstr = r.ci_cpi * 1e6;
+  r.ci_l1d_misses = h_l1 / nsamp;
+  r.ci_l2d_misses = h_l2 / nsamp;
+  r.ci_l1d_per_minstr = h_l1 / (instr / 1e6);
+  r.ci_l2d_per_minstr = h_l2 / (instr / 1e6);
+  // Latency is already a per-request average; averaging T independent
+  // trial estimates shrinks the half-width by 1/T in quadrature.
+  r.ci_avg_mem_latency = std::sqrt(sq_lat) / trials;
+  return r;
+}
+
 ExperimentRunner::TrialResult ExperimentRunner::run_trial(
-    const ExperimentConfig& cfg, u32 trial, bool want_result) const {
+    const ExperimentConfig& cfg, std::span<const tpch::QueryId> queries,
+    u32 trial) const {
   sim::MachineConfig mc =
       (cfg.machine_override ? *cfg.machine_override
                             : sim::config_for(cfg.platform))
           .scaled(cfg.scale.denom);
-  assert(cfg.nproc <= mc.num_processors);
+  assert(queries.size() == cfg.nproc && cfg.nproc <= mc.num_processors);
   sim::MachineSim machine(mc);
   // The checker attaches before any process touches the machine, so its
   // counter-conservation identities see the machine's whole history. It is
@@ -123,7 +185,7 @@ ExperimentRunner::TrialResult ExperimentRunner::run_trial(
   params.workmem_arena_bytes = cfg.scale.arena_bytes();
 
   os::Scheduler sched;
-  std::vector<std::unique_ptr<tpch::QueryRun>> queries;
+  std::vector<std::unique_ptr<tpch::QueryRun>> runs;
   // Per-trial seed derivation: depends only on (config seed, trial index),
   // never on execution order, so any thread can run any trial.
   Rng jitter(cfg.seed * 7919 + trial);
@@ -136,9 +198,9 @@ ExperimentRunner::TrialResult ExperimentRunner::run_trial(
     // Per-trial OS start jitter so trials sample different interleavings
     // (the stand-in for real-machine noise the paper averages away).
     proc->instr(static_cast<u64>(jitter.uniform(0, 40'000)));
-    auto q = tpch::make_query(cfg.query, rt, *proc, params);
+    auto q = tpch::make_query(queries[i], rt, *proc, params);
     tpch::QueryRun* qp = q.get();
-    queries.push_back(std::move(q));
+    runs.push_back(std::move(q));
     sched.add(std::move(proc),
               [qp](os::Process& p) { return qp->step(p); });
   }
@@ -150,47 +212,29 @@ ExperimentRunner::TrialResult ExperimentRunner::run_trial(
   TrialResult tr;
   if (sampler) {
     // Replace each process's machine-event counters with measured-window
-    // deltas scaled to whole-stream estimates BEFORE the reduction below,
-    // so the rest of the pipeline sees a sampled trial as an ordinary one.
+    // deltas scaled to whole-stream estimates BEFORE they are copied out,
+    // so the reduction sees a sampled trial as an ordinary one.
     std::vector<perf::Counters*> procs;
-    procs.reserve(sched.job_count());
-    for (std::size_t i = 0; i < sched.job_count(); ++i) {
+    procs.reserve(cfg.nproc);
+    for (u32 i = 0; i < cfg.nproc; ++i) {
       procs.push_back(&sched.process(i).counters());
     }
     tr.sample = sampler->finalize(machine, procs);
-    tr.sampled = true;
-    // Per-trial 95% half-widths on the trial's machine-wide totals. Stall
-    // cycles are the only estimated component of `cycles` (compute and spin
-    // are exact), so the CI on summed cycles is the CI on summed stalls.
-    const double refs = static_cast<double>(tr.sample.total_refs);
-    tr.ci_cycles_total = tr.sample.stall_per_ref.ci_half * refs;
-    tr.ci_l1d_total = tr.sample.l1_per_ref.ci_half * refs;
-    tr.ci_l2d_total = tr.sample.l2_per_ref.ci_half * refs;
-    tr.ci_mem_latency = tr.sample.lat_per_req.ci_half;
   }
-  tr.proc_mem_lat.reserve(sched.job_count());
-  for (std::size_t i = 0; i < sched.job_count(); ++i) {
-    tr.total += sched.process(i).counters();
-    tr.proc_mem_lat.push_back(sched.process(i).counters().avg_mem_latency());
-    tr.wall = std::max(tr.wall, static_cast<double>(sched.process(i).now()) /
-                                    (mc.clock_mhz * 1e6));
+  for (u32 i = 0; i < cfg.nproc; ++i) {
+    const os::Process& p = sched.process(i);
+    tr.counters.push_back(p.counters());
+    tr.mem_lat.push_back(p.counters().avg_mem_latency());
+    tr.wall.push_back(static_cast<double>(p.now()) / (mc.clock_mhz * 1e6));
+    if (trial == 0) tr.results.push_back(runs[i]->result());
   }
-  if (want_result) tr.query_result = queries[0]->result();
   return tr;
 }
 
-std::vector<RunResult> ExperimentRunner::run_cells(
-    std::span<const ExperimentConfig> in_cfgs) {
-  // Apply the runner-wide sampling default to cells that do not carry their
-  // own schedule (see set_sampling()). A cell with an explicit schedule —
-  // e.g. a test comparing rates — keeps it.
-  std::vector<ExperimentConfig> cfgs(in_cfgs.begin(), in_cfgs.end());
-  if (sample_.enabled()) {
-    for (auto& cfg : cfgs) {
-      if (!cfg.sample.enabled()) cfg.sample = sample_;
-    }
-  }
-
+std::vector<std::vector<ExperimentRunner::TrialResult>>
+ExperimentRunner::run_trials(
+    std::span<const ExperimentConfig> cfgs,
+    std::span<const std::vector<tpch::QueryId>> queries) {
   struct Task {
     u32 cell;
     u32 trial;
@@ -203,107 +247,80 @@ std::vector<RunResult> ExperimentRunner::run_cells(
     trials[c].resize(cfgs[c].trials);
     for (u32 t = 0; t < cfgs[c].trials; ++t) tasks.push_back({c, t});
   }
-
   parallel_for_index(pool_for(tasks.size()), tasks.size(), [&](u64 i) {
     const Task tk = tasks[i];
     trials[tk.cell][tk.trial] =
-        run_trial(cfgs[tk.cell], tk.trial, /*want_result=*/tk.trial == 0);
+        run_trial(cfgs[tk.cell], queries[tk.cell], tk.trial);
   });
+  return trials;
+}
 
-  // Reduce each cell in serial trial order (and, inside a trial, process
-  // order) so the floating-point folds match a `--jobs 1` run exactly.
+void ExperimentRunner::record(const ExperimentConfig& cfg,
+                              tpch::QueryId query, std::string label,
+                              const RunResult& r) {
+  if (export_ == nullptr) return;
+  ExportCell cell;
+  cell.platform = perf::platform_name(cfg.platform);
+  cell.query = tpch::query_name(query);
+  cell.nproc = cfg.nproc;
+  cell.trials = cfg.trials;
+  for (const char* o : {cfg.machine_override ? "machine_override" : nullptr,
+                        cfg.spin_override ? "spin_override" : nullptr}) {
+    if (o == nullptr) continue;
+    if (!label.empty()) label += "+";
+    label += o;
+  }
+  cell.variant = std::move(label);
+  cell.check = cfg.check;
+  cell.result = r;
+  cell.result.query_result.clear();  // rows are not part of the schema
+  export_->cells.push_back(std::move(cell));
+  export_dirty_ = true;
+}
+
+RunResult ExperimentRunner::reduce(const ExperimentConfig& cfg,
+                                   std::vector<TrialResult>& trials,
+                                   u32 first, u32 count) {
+  // Serial trial order, and process order inside a trial, so the
+  // floating-point folds match a `--jobs 1` run exactly. Each (process,
+  // trial) pair is one sample; the response time is the slowest process's.
+  perf::Counters sum;
+  double mem_lat_sum = 0;
+  double wall_sum = 0;
+  std::vector<sim::ExecSampleSummary> summaries;
+  for (const TrialResult& tr : trials) {
+    double span = 0;
+    for (u32 i = first; i < first + count; ++i) {
+      sum += tr.counters[i];
+      mem_lat_sum += tr.mem_lat[i];
+      span = std::max(span, tr.wall[i]);
+    }
+    wall_sum += span;
+    summaries.push_back(tr.sample);
+  }
+  RunResult r = derive_result(sum, u64{count} * cfg.trials, mem_lat_sum,
+                              wall_sum, cfg.trials, cfg.sample, summaries);
+  r.query_result = std::move(trials[0].results[first]);
+  return r;
+}
+
+std::vector<RunResult> ExperimentRunner::run_cells(
+    std::span<const ExperimentConfig> in_cfgs) {
+  // Apply the runner-wide sampling default to cells that do not carry their
+  // own schedule (see set_sampling()). A cell with an explicit schedule —
+  // e.g. a test comparing rates — keeps it.
+  std::vector<ExperimentConfig> cfgs(in_cfgs.begin(), in_cfgs.end());
+  std::vector<std::vector<tpch::QueryId>> queries;
+  for (auto& cfg : cfgs) {
+    if (sample_.enabled() && !cfg.sample.enabled()) cfg.sample = sample_;
+    queries.emplace_back(cfg.nproc, cfg.query);
+  }
+  std::vector<std::vector<TrialResult>> trials = run_trials(cfgs, queries);
   std::vector<RunResult> out;
   out.reserve(cfgs.size());
   for (u32 c = 0; c < cfgs.size(); ++c) {
-    RunResult r;
-    perf::Counters grand;
-    u64 samples = 0;
-    double mem_lat_sum = 0;
-    double wall_sum = 0;
-    for (auto& tr : trials[c]) {
-      grand += tr.total;
-      for (double v : tr.proc_mem_lat) {
-        mem_lat_sum += v;
-        ++samples;
-      }
-      wall_sum += tr.wall;
-    }
-    r.query_result = std::move(trials[c][0].query_result);
-
-    // Per-process means.
-    auto avg = [&](u64 v) {
-      return static_cast<double>(v) / static_cast<double>(samples);
-    };
-    r.mean = grand;  // totals; derived ratios below use the totals directly
-    r.thread_time_cycles = avg(grand.cycles);
-    r.cpi = grand.cpi();
-    r.cycles_per_minstr = grand.cycles_per_minstr();
-    r.l1d_misses = avg(grand.l1d_misses);
-    r.l2d_misses = avg(grand.l2d_misses);
-    r.l1d_per_minstr = grand.l1d_per_minstr();
-    r.l2d_per_minstr = grand.l2d_per_minstr();
-    r.avg_mem_latency = mem_lat_sum / static_cast<double>(samples);
-    r.vol_ctx_per_minstr = grand.vol_ctx_per_minstr();
-    r.invol_ctx_per_minstr = grand.invol_ctx_per_minstr();
-    r.wall_seconds = wall_sum / cfgs[c].trials;
-
-    if (cfgs[c].sample.enabled()) {
-      // Trials are independent runs, so half-widths on summed totals
-      // combine in quadrature: h = sqrt(sum h_t^2). Each exported metric
-      // divides a total (cycles, misses) by an exactly-known denominator
-      // (instructions, samples), so its half-width divides the same way.
-      r.sampled = true;
-      r.sample_unit_records = cfgs[c].sample.unit_records;
-      r.sample_detail_every = cfgs[c].sample.detail_every;
-      r.sample_warmup_records = cfgs[c].sample.warmup_records;
-      double sq_cycles = 0, sq_l1 = 0, sq_l2 = 0, sq_lat = 0;
-      for (const auto& tr : trials[c]) {
-        r.sample_total_refs += tr.sample.total_refs;
-        r.sample_detailed_refs += tr.sample.detailed_refs;
-        r.sample_measured_refs += tr.sample.measured_refs;
-        r.sample_windows += tr.sample.windows;
-        sq_cycles += tr.ci_cycles_total * tr.ci_cycles_total;
-        sq_l1 += tr.ci_l1d_total * tr.ci_l1d_total;
-        sq_l2 += tr.ci_l2d_total * tr.ci_l2d_total;
-        sq_lat += tr.ci_mem_latency * tr.ci_mem_latency;
-      }
-      const double h_cycles = std::sqrt(sq_cycles);
-      const double h_l1 = std::sqrt(sq_l1);
-      const double h_l2 = std::sqrt(sq_l2);
-      const double instr = static_cast<double>(grand.instructions);
-      const double nsamp = static_cast<double>(samples);
-      r.ci_thread_time_cycles = h_cycles / nsamp;
-      r.ci_cpi = h_cycles / instr;
-      r.ci_cycles_per_minstr = r.ci_cpi * 1e6;
-      r.ci_l1d_misses = h_l1 / nsamp;
-      r.ci_l2d_misses = h_l2 / nsamp;
-      r.ci_l1d_per_minstr = h_l1 / (instr / 1e6);
-      r.ci_l2d_per_minstr = h_l2 / (instr / 1e6);
-      // Latency is already a per-request average; averaging T independent
-      // trial estimates shrinks the half-width by 1/T in quadrature.
-      r.ci_avg_mem_latency =
-          std::sqrt(sq_lat) / static_cast<double>(cfgs[c].trials);
-    }
-    out.push_back(std::move(r));
-  }
-  if (export_ != nullptr) {
-    for (u32 c = 0; c < cfgs.size(); ++c) {
-      ExportCell cell;
-      cell.platform = perf::platform_name(cfgs[c].platform);
-      cell.query = tpch::query_name(cfgs[c].query);
-      cell.nproc = cfgs[c].nproc;
-      cell.trials = cfgs[c].trials;
-      if (cfgs[c].machine_override) cell.variant += "machine_override";
-      if (cfgs[c].spin_override) {
-        if (!cell.variant.empty()) cell.variant += "+";
-        cell.variant += "spin_override";
-      }
-      cell.check = cfgs[c].check;
-      cell.result = out[c];
-      cell.result.query_result.clear();  // rows are not part of the schema
-      export_->cells.push_back(std::move(cell));
-    }
-    export_dirty_ = true;
+    out.push_back(reduce(cfgs[c], trials[c], 0, cfgs[c].nproc));
+    record(cfgs[c], cfgs[c].query, "", out.back());
   }
   return out;
 }
@@ -312,157 +329,23 @@ std::vector<RunResult> ExperimentRunner::run_mix(
     perf::Platform platform, const std::vector<tpch::QueryId>& mix,
     u32 trials) {
   assert(!mix.empty() && trials >= 1);
-  const std::size_t n = mix.size();
-
-  struct MixTrial {
-    std::vector<perf::Counters> proc;
-    std::vector<double> lat;
-    std::vector<double> wall;
-    std::vector<std::vector<tpch::ResultRow>> results;  ///< trial 0 only
-    sim::ExecSampleSummary sample;  ///< sampled runs only (set_sampling)
-  };
-  std::vector<MixTrial> per_trial(trials);
-
-  parallel_for_index(pool_for(trials), trials, [&](u64 trial) {
-    sim::MachineConfig mc = sim::config_for(platform).scaled(scale_.denom);
-    assert(n <= mc.num_processors);
-    sim::MachineSim machine(mc);
-    std::optional<sim::RefSampler> sampler;
-    if (sample_.enabled()) {
-      sampler.emplace(sample_, static_cast<u32>(n));
-      machine.set_sampler(&*sampler);
-    }
-    db::RuntimeConfig rc;
-    rc.pool_frames = scale_.pool_frames();
-    rc.workmem_arena_bytes = scale_.arena_bytes();
-    db::DbRuntime rt(*dbase_, rc);
-    machine.set_addr_classes(&rt.addr_classes());
-    rt.prewarm_all();
-    tpch::QueryParams params;
-    params.workmem_arena_bytes = scale_.arena_bytes();
-
-    os::Scheduler sched;
-    std::vector<std::unique_ptr<tpch::QueryRun>> queries;
-    Rng jitter(seed_ * 7919 + trial);
-    for (u32 i = 0; i < n; ++i) {
-      auto proc = std::make_unique<os::Process>(machine, i);
-      proc->set_timeslice(static_cast<u64>(
-          static_cast<double>(mc.timeslice_cycles) /
-          (1.0 + 0.05 * (static_cast<double>(n) - 1))));
-      proc->instr(static_cast<u64>(jitter.uniform(0, 40'000)));
-      auto q = tpch::make_query(mix[i], rt, *proc, params);
-      tpch::QueryRun* qp = q.get();
-      queries.push_back(std::move(q));
-      sched.add(std::move(proc), [qp](os::Process& p) { return qp->step(p); });
-    }
-    sched.run_all();
-
-    MixTrial& mt = per_trial[trial];
-    if (sampler) {
-      std::vector<perf::Counters*> procs;
-      procs.reserve(n);
-      for (u32 i = 0; i < n; ++i) procs.push_back(&sched.process(i).counters());
-      mt.sample = sampler->finalize(machine, procs);
-    }
-    mt.proc.resize(n);
-    mt.lat.resize(n);
-    mt.wall.resize(n);
-    for (u32 i = 0; i < n; ++i) {
-      mt.proc[i] = sched.process(i).counters();
-      mt.lat[i] = sched.process(i).counters().avg_mem_latency();
-      mt.wall[i] = static_cast<double>(sched.process(i).now()) /
-                   (mc.clock_mhz * 1e6);
-    }
-    if (trial == 0) {
-      mt.results.resize(n);
-      for (u32 i = 0; i < n; ++i) mt.results[i] = queries[i]->result();
-    }
-  });
-
-  // Serial-order reduction, matching the old trial-major accumulation.
-  std::vector<perf::Counters> grand(n);
-  std::vector<double> latency(n, 0.0);
-  std::vector<double> wall(n, 0.0);
-  for (u32 trial = 0; trial < trials; ++trial) {
-    const MixTrial& mt = per_trial[trial];
-    for (u32 i = 0; i < n; ++i) {
-      grand[i] += mt.proc[i];
-      latency[i] += mt.lat[i];
-      wall[i] += mt.wall[i];
-    }
-  }
-
-  std::vector<RunResult> out(n);
-  for (u32 i = 0; i < n; ++i) {
-    RunResult& r = out[i];
-    r.mean = grand[i];
-    r.thread_time_cycles =
-        static_cast<double>(grand[i].cycles) / trials;
-    r.cpi = grand[i].cpi();
-    r.cycles_per_minstr = grand[i].cycles_per_minstr();
-    r.l1d_misses = static_cast<double>(grand[i].l1d_misses) / trials;
-    r.l2d_misses = static_cast<double>(grand[i].l2d_misses) / trials;
-    r.l1d_per_minstr = grand[i].l1d_per_minstr();
-    r.l2d_per_minstr = grand[i].l2d_per_minstr();
-    r.avg_mem_latency = latency[i] / trials;
-    r.vol_ctx_per_minstr = grand[i].vol_ctx_per_minstr();
-    r.invol_ctx_per_minstr = grand[i].invol_ctx_per_minstr();
-    r.wall_seconds = wall[i] / trials;
-    r.query_result = std::move(per_trial[0].results[i]);
-
-    if (sample_.enabled()) {
-      // The sampler's spread is machine-wide; a heterogeneous mix has no
-      // per-process window samples to separate it. Assign each process the
-      // machine-wide half-width on estimated totals — conservative, since
-      // any one process contributes at most the machine-wide stall/misses.
-      r.sampled = true;
-      r.sample_unit_records = sample_.unit_records;
-      r.sample_detail_every = sample_.detail_every;
-      r.sample_warmup_records = sample_.warmup_records;
-      double sq_cycles = 0, sq_l1 = 0, sq_l2 = 0, sq_lat = 0;
-      for (const MixTrial& mt : per_trial) {
-        r.sample_total_refs += mt.sample.total_refs;
-        r.sample_detailed_refs += mt.sample.detailed_refs;
-        r.sample_measured_refs += mt.sample.measured_refs;
-        r.sample_windows += mt.sample.windows;
-        const double refs = static_cast<double>(mt.sample.total_refs);
-        const double hc = mt.sample.stall_per_ref.ci_half * refs;
-        const double h1 = mt.sample.l1_per_ref.ci_half * refs;
-        const double h2 = mt.sample.l2_per_ref.ci_half * refs;
-        sq_cycles += hc * hc;
-        sq_l1 += h1 * h1;
-        sq_l2 += h2 * h2;
-        sq_lat += mt.sample.lat_per_req.ci_half *
-                  mt.sample.lat_per_req.ci_half;
-      }
-      const double h_cycles = std::sqrt(sq_cycles);
-      const double h_l1 = std::sqrt(sq_l1);
-      const double h_l2 = std::sqrt(sq_l2);
-      const double instr = static_cast<double>(grand[i].instructions);
-      const double tn = static_cast<double>(trials);
-      r.ci_thread_time_cycles = h_cycles / tn;
-      r.ci_cpi = h_cycles / instr;
-      r.ci_cycles_per_minstr = r.ci_cpi * 1e6;
-      r.ci_l1d_misses = h_l1 / tn;
-      r.ci_l2d_misses = h_l2 / tn;
-      r.ci_l1d_per_minstr = h_l1 / (instr / 1e6);
-      r.ci_l2d_per_minstr = h_l2 / (instr / 1e6);
-      r.ci_avg_mem_latency = std::sqrt(sq_lat) / tn;
-    }
-  }
-  if (export_ != nullptr) {
-    for (u32 i = 0; i < n; ++i) {
-      ExportCell cell;
-      cell.platform = perf::platform_name(platform);
-      cell.query = tpch::query_name(mix[i]);
-      cell.nproc = static_cast<u32>(n);
-      cell.trials = trials;
-      cell.variant = "mix[" + std::to_string(i) + "]";
-      cell.result = out[i];
-      cell.result.query_result.clear();
-      export_->cells.push_back(std::move(cell));
-    }
-    export_dirty_ = true;
+  ExperimentConfig cfg;
+  cfg.platform = platform;
+  cfg.nproc = static_cast<u32>(mix.size());
+  cfg.trials = trials;
+  cfg.scale = scale_;
+  cfg.seed = seed_;
+  cfg.sample = sample_;
+  std::vector<TrialResult> per_trial =
+      std::move(run_trials({&cfg, 1}, {&mix, 1}).front());
+  // Each process is reduced alone. The sampler's spread is machine-wide (a
+  // heterogeneous mix has no per-process window samples to separate it), so
+  // every process carries the machine-wide half-width — conservative, since
+  // one process contributes at most the machine-wide stall/misses.
+  std::vector<RunResult> out;
+  for (u32 i = 0; i < cfg.nproc; ++i) {
+    out.push_back(reduce(cfg, per_trial, i, 1));
+    record(cfg, mix[i], "mix[" + std::to_string(i) + "]", out.back());
   }
   return out;
 }

@@ -16,10 +16,10 @@
 // interleaving.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -73,10 +73,15 @@ struct ExperimentConfig {
   sim::SampleSchedule sample;
 };
 
-/// Averages (over processes, then over trials) of the measured counters,
-/// plus the derived metrics each figure reports.
+/// The measured counters of one cell, plus the derived metrics each figure
+/// reports. Count metrics (thread time, misses, latency) average over the
+/// result's samples (see derive_result); ratio metrics divide the summed
+/// counters.
 struct RunResult {
-  perf::Counters mean;            ///< per-process averages
+  /// Counter totals, not averages, despite the name: summed over every
+  /// process and trial for run_cells, over the process's trials for
+  /// run_mix. Divide by the sample count for a mean.
+  perf::Counters mean;
   double thread_time_cycles = 0;  ///< Fig. 2
   double cpi = 0;                 ///< Fig. 3
   double cycles_per_minstr = 0;   ///< Figs. 5, 7
@@ -114,6 +119,19 @@ struct RunResult {
   double ci_l2d_per_minstr = 0;
   double ci_avg_mem_latency = 0;
 };
+
+/// The one counters-to-RunResult derivation. `sum` is the counters summed
+/// over `samples` per-process measurements, whose avg_mem_latency() values
+/// add up to `mem_lat_sum`; `wall_sum` is the response-time span summed over
+/// `trials`. Count metrics divide by `samples`, ratio metrics divide the
+/// summed counters. When `sched` is enabled the result carries its schedule,
+/// the summed reference accounting of `trial_samples` (one summary per
+/// trial) and 95% half-widths: per-trial half-widths on machine-wide totals
+/// combine in quadrature and divide like their metrics (DESIGN.md §12).
+[[nodiscard]] RunResult derive_result(
+    const perf::Counters& sum, u64 samples, double mem_lat_sum,
+    double wall_sum, u32 trials, const sim::SampleSchedule& sched,
+    std::span<const sim::ExecSampleSummary> trial_samples);
 
 /// Builds the TPC-H database once per scale and runs experiment
 /// configurations against it.
@@ -162,7 +180,11 @@ class ExperimentRunner {
 
   /// Heterogeneous multiprogramming: one process per entry of `mix`, each
   /// running its own query concurrently (Section 4's "different query
-  /// processes" reading). Returns per-process results in mix order.
+  /// processes" reading). Runs as one cell through run_cells' trial tasks
+  /// at this runner's scale, seed and sampling. Returns per-process results
+  /// in mix order, each averaged over its own trials; a sampled result
+  /// carries the machine-wide half-widths (the sampler cannot split a
+  /// heterogeneous mix's spread by process).
   [[nodiscard]] std::vector<RunResult> run_mix(
       perf::Platform platform, const std::vector<tpch::QueryId>& mix,
       u32 trials = 4);
@@ -182,26 +204,38 @@ class ExperimentRunner {
   [[nodiscard]] const MetricsDoc* metrics_doc() const { return export_.get(); }
 
  private:
-  /// Everything one trial produces; reduced into a RunResult in trial order
-  /// so floating-point accumulation matches the serial fold exactly.
+  /// Everything one trial produces, per process in process order; reduced
+  /// into RunResults in trial order so floating-point accumulation matches
+  /// the serial fold exactly.
   struct TrialResult {
-    perf::Counters total;              ///< summed over the trial's processes
-    std::vector<double> proc_mem_lat;  ///< avg_mem_latency() per process
-    double wall = 0;                   ///< max process span, seconds
-    std::vector<tpch::ResultRow> query_result;  ///< trial 0 only
-    /// Sampled trials only: reference accounting plus per-metric 95% CI
-    /// half-widths derived from the sampler's per-window estimates.
-    sim::ExecSampleSummary sample;
-    bool sampled = false;
-    double ci_cycles_total = 0;   ///< on the trial's summed cycles
-    double ci_l1d_total = 0;      ///< on the trial's summed L1 data misses
-    double ci_l2d_total = 0;      ///< on the trial's summed LLC misses
-    double ci_mem_latency = 0;    ///< on avg memory latency (cycles/request)
+    std::vector<perf::Counters> counters;
+    std::vector<double> mem_lat;  ///< avg_mem_latency() per process
+    std::vector<double> wall;     ///< per-process span, seconds
+    std::vector<std::vector<tpch::ResultRow>> results;  ///< trial 0 only
+    sim::ExecSampleSummary sample;  ///< sampled trials only
   };
 
-  /// One independent simulation. Const: shares only the frozen database.
-  [[nodiscard]] TrialResult run_trial(const ExperimentConfig& cfg, u32 trial,
-                                      bool want_result) const;
+  /// One independent simulation: process i runs `queries[i]`. Const: shares
+  /// only the frozen database.
+  [[nodiscard]] TrialResult run_trial(const ExperimentConfig& cfg,
+                                      std::span<const tpch::QueryId> queries,
+                                      u32 trial) const;
+
+  /// Every (cell, trial) task of `cfgs` on the pool; `queries[c]` is cell
+  /// c's per-process query list. Returns trials[cell][trial].
+  [[nodiscard]] std::vector<std::vector<TrialResult>> run_trials(
+      std::span<const ExperimentConfig> cfgs,
+      std::span<const std::vector<tpch::QueryId>> queries);
+
+  /// Reduce processes [first, first + count) of every trial to one result.
+  [[nodiscard]] static RunResult reduce(const ExperimentConfig& cfg,
+                                        std::vector<TrialResult>& trials,
+                                        u32 first, u32 count);
+
+  /// Append one cell to the metrics document, when export is enabled. The
+  /// variant is `label` plus any overrides `cfg` carries.
+  void record(const ExperimentConfig& cfg, tpch::QueryId query,
+              std::string label, const RunResult& r);
 
   [[nodiscard]] ThreadPool* pool_for(u64 task_count);
 

@@ -51,7 +51,8 @@ std::optional<u64> parse_uint(std::string_view text, u64 min, u64 max) {
   return v;
 }
 
-/// Parse the whole of `text` as a finite, unsigned decimal number.
+}  // namespace
+
 std::optional<double> parse_nonneg(std::string_view text) {
   double v = 0.0;
   const char* end = text.data() + text.size();
@@ -62,8 +63,6 @@ std::optional<double> parse_nonneg(std::string_view text) {
   }
   return v;
 }
-
-}  // namespace
 
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions o;

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -95,5 +97,10 @@ struct BenchOptions {
   }
 };
 [[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv);
+
+/// Parse the whole of `text` as a finite, non-negative decimal number: no
+/// sign, no trailing characters, no nan/inf. Empty on any violation. The
+/// bench flags and dss_report's --threshold share it.
+[[nodiscard]] std::optional<double> parse_nonneg(std::string_view text);
 
 }  // namespace dss::core

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <ostream>
+#include <span>
 #include <sstream>
 
 namespace dss::core {
@@ -288,6 +289,25 @@ void check_all_numbers(std::vector<std::string>& problems,
   }
 }
 
+/// Members a report reads from the optional "sample" and "serving" objects.
+constexpr const char* kSampleKeys[] = {"unit_records",  "detail_every",
+                                       "warmup_records", "total_refs",
+                                       "detailed_refs", "windows"};
+constexpr const char* kServingKeys[] = {
+    "sessions",     "queries_per_session", "cpus",         "target_load",
+    "offered_qps",  "achieved_qph",        "mean_concurrency",
+    "metrics_nproc", "p50_ms",             "p95_ms",       "p99_ms",
+    "mean_ms",      "max_ms",              "queue_p99_ms"};
+
+void require_keys(std::vector<std::string>& problems, const util::Json& obj,
+                  std::span<const char* const> keys, const std::string& ctx) {
+  for (const char* k : keys) {
+    if (obj.get(k) == nullptr) {
+      problems.push_back(ctx + ": missing \"" + std::string(k) + "\"");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> check_metrics_schema(const util::Json& doc) {
@@ -324,12 +344,16 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
     get_typed(problems, cell, "nproc", util::Json::Type::Number, ctx);
     get_typed(problems, cell, "trials", util::Json::Type::Number, ctx);
     get_typed(problems, cell, "variant", util::Json::Type::String, ctx);
+    if (cell.get("check") != nullptr) {
+      get_typed(problems, cell, "check", util::Json::Type::Bool, ctx);
+    }
     if (const util::Json* m = get_typed(problems, cell, "metrics",
                                         util::Json::Type::Object, ctx)) {
       check_all_numbers(problems, *m, ctx + ".metrics");
     }
     // Optional v4 member, present only on serving cells: "arrival" is a
-    // string ("closed"/"open"), every other member is a number.
+    // string ("closed"/"open"), every other member is a number, and every
+    // member a report prints must be there.
     if (const util::Json* sv = cell.get("serving")) {
       if (!sv->is_object()) {
         problems.push_back(ctx + ": \"serving\" has the wrong type");
@@ -343,6 +367,7 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
                                "\" is not a number");
           }
         }
+        require_keys(problems, *sv, kServingKeys, ctx + ".serving");
       }
     }
     // Optional v3 members, present only on sampled cells.
@@ -355,6 +380,10 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
           check_all_numbers(problems, *m, ctx + "." + std::string(opt));
         }
       }
+    }
+    const util::Json* sample = cell.get("sample");
+    if (sample != nullptr && sample->is_object()) {
+      require_keys(problems, *sample, kSampleKeys, ctx + ".sample");
     }
     if (const util::Json* m = get_typed(problems, cell, "counters",
                                         util::Json::Type::Object, ctx)) {

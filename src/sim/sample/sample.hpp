@@ -47,23 +47,16 @@ struct SampleReplayOptions {
   std::string live_point_dir;
 };
 
-/// Reference accounting and per-metric estimates of one sampled replay.
-struct SampleReplayStats {
-  u64 records = 0;        ///< input trace records
-  u64 total_refs = 0;     ///< compiled BatchRefs in the stream
-  u64 detailed_refs = 0;  ///< refs run through the detailed timing model
-  u64 measured_refs = 0;  ///< subset inside measurement windows
-  u64 windows = 0;        ///< measurement windows
+/// Reference accounting and per-metric estimates of one sampled replay: the
+/// execution-driven summary (its refs are compiled BatchRefs here) plus the
+/// replay's own provenance and a machine-wide CPI estimate.
+struct SampleReplayStats : ExecSampleSummary {
+  u64 records = 0;  ///< input trace records
   u32 shards_used = 1;
   bool live_point_restored = false;  ///< warm prefix came from a checkpoint
   bool live_point_saved = false;     ///< warm prefix was checkpointed
   u64 live_point_refs = 0;           ///< refs covered by the live point
-
-  Estimate stall_per_ref;  ///< memory stall cycles per compiled ref
-  Estimate l1_per_ref;     ///< L1 data misses per compiled ref
-  Estimate l2_per_ref;     ///< last-level misses per compiled ref
-  Estimate lat_per_req;    ///< memory latency cycles per memory request
-  Estimate cpi;            ///< machine-wide cycles per instruction
+  Estimate cpi;                      ///< machine-wide cycles per instruction
 };
 
 /// Sampled replay of `records` under `sched`. Returns merged per-processor

@@ -67,6 +67,43 @@ TEST(ExperimentRunner, VClassReportsNoL2) {
   EXPECT_LT(sgi.l2d_misses, sgi.l1d_misses);
 }
 
+TEST(DeriveResult, AveragesCountsAndCombinesTrialHalfWidths) {
+  perf::Counters sum;
+  sum.cycles = 8'000;
+  sum.instructions = 2'000;
+  sum.l1d_misses = 40;
+  // Four per-process samples over two trials.
+  const RunResult full = derive_result(sum, 4, 100.0, 3.0, 2, {}, {});
+  EXPECT_EQ(full.mean.cycles, 8'000u);  // totals, not averages
+  EXPECT_DOUBLE_EQ(full.thread_time_cycles, 2'000.0);
+  EXPECT_DOUBLE_EQ(full.l1d_misses, 10.0);
+  EXPECT_DOUBLE_EQ(full.cpi, 4.0);
+  EXPECT_DOUBLE_EQ(full.avg_mem_latency, 25.0);
+  EXPECT_DOUBLE_EQ(full.wall_seconds, 1.5);
+  EXPECT_FALSE(full.sampled);
+  EXPECT_EQ(full.ci_cpi, 0.0);
+
+  sim::SampleSchedule sched;
+  sched.unit_records = 500;
+  sched.detail_every = 10;
+  std::vector<sim::ExecSampleSummary> trials(2);
+  for (auto& t : trials) t.total_refs = 100;
+  trials[0].stall_per_ref.ci_half = 0.3;  // 30 cycles on the trial total
+  trials[1].stall_per_ref.ci_half = 0.4;  // 40
+  trials[0].lat_per_req.ci_half = 6.0;
+  trials[1].lat_per_req.ci_half = 8.0;
+  const RunResult s = derive_result(sum, 4, 100.0, 3.0, 2, sched, trials);
+  EXPECT_TRUE(s.sampled);
+  EXPECT_EQ(s.sample_unit_records, 500u);
+  EXPECT_EQ(s.sample_total_refs, 200u);
+  // Quadrature: sqrt(30^2 + 40^2) = 50 cycles on the summed total.
+  EXPECT_DOUBLE_EQ(s.ci_thread_time_cycles, 50.0 / 4);
+  EXPECT_DOUBLE_EQ(s.ci_cpi, 50.0 / 2'000);
+  EXPECT_DOUBLE_EQ(s.ci_cycles_per_minstr, 50.0 / 2'000 * 1e6);
+  EXPECT_DOUBLE_EQ(s.ci_avg_mem_latency, 10.0 / 2);
+  EXPECT_EQ(s.cpi, full.cpi);  // sampling changes only the CI side
+}
+
 TEST(BenchOptions, ParsesFlags) {
   const char* argv[] = {"bench", "--scale", "32", "--trials", "2",
                         "--seed", "99"};

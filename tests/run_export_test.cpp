@@ -115,6 +115,27 @@ TEST(RunExport, SchemaCheckRejectsWrongVersionAndShapes) {
   EXPECT_FALSE(problems.empty());
 }
 
+TEST(RunExport, SchemaCheckRequiresWhatTheReportReads) {
+  // Each cell passed the check when it only typed the members present, and
+  // dss_report then crashed printing it (SIGABRT on the non-bool "check",
+  // SIGSEGV on the members missing from "sample" and "serving").
+  const std::string head =
+      R"({"schema_version": 5, "bench": "x", "scale_denom": 16, "seed": 1,
+          "cells": [{"platform": "V-Class", "query": "Q6", "nproc": 1,
+                     "trials": 1, "variant": "", "metrics": {},
+                     "counters": {}, "miss_causes": {"l1": {}, "l2": {}},
+                     "obj_misses": {}, "cpi_stack": {}, )";
+  for (const std::string extra : {R"("check": 1)", R"("sample": {})",
+                                   R"("serving": {"arrival": "open"})"}) {
+    SCOPED_TRACE(extra);
+    EXPECT_FALSE(
+        check_metrics_schema(util::json_parse(head + extra + "}]}")).empty());
+  }
+  EXPECT_TRUE(
+      check_metrics_schema(util::json_parse(head + R"("check": true}]})"))
+          .empty());
+}
+
 TEST(RunExport, SelfDiffHasNoRegressions) {
   const util::Json doc = round_trip(make_doc(1e6, 2e6));
   const DiffReport rep = diff_metrics(doc, doc);

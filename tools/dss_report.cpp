@@ -6,6 +6,8 @@
 //   dss_report before.json after.json      diff two runs; exit 1 when any
 //                                          metric regressed past --threshold
 //   dss_report --threshold 0.10 a.json b.json
+//                                          (a finite number >= 0; anything
+//                                          else is a usage error)
 //   dss_report --ci-gate a.json b.json     CI-aware diff for sampled runs:
 //                                          only metrics carrying a 95%
 //                                          half-width ("metric_ci") gate,
@@ -20,10 +22,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/run_export.hpp"
 #include "util/json.hpp"
 
@@ -197,9 +201,7 @@ int print_diff(const DiffReport& rep, const DiffOptions& opts) {
   return rep.has_regressions() ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   DiffOptions opts;
   bool schema_only = false;
   bool expect_regression = false;  // for tests: invert the regression gate
@@ -207,11 +209,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threshold") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
-      try {
-        opts.rel_threshold = std::stod(argv[++i]);
-      } catch (const std::exception&) {
+      const std::optional<double> t = dss::core::parse_nonneg(argv[++i]);
+      if (!t) {
+        std::fprintf(stderr, "dss_report: bad --threshold '%s'\n", argv[i]);
         return usage(argv[0]);
       }
+      opts.rel_threshold = *t;
     } else if (std::strcmp(argv[i], "--ci-gate") == 0) {
       opts.ci_gate = true;
     } else if (std::strcmp(argv[i], "--metric") == 0) {
@@ -249,4 +252,17 @@ int main(int argc, char** argv) {
     return rc == 1 ? 0 : 1;
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The schema check guarantees every member the printers read; a document
+  // that still surprises them is a parse error (exit 2), never a crash.
+  try {
+    return run(argc, argv);
+  } catch (const dss::util::JsonError& e) {
+    std::fprintf(stderr, "dss_report: malformed document: %s\n", e.what());
+    return 2;
+  }
 }
