@@ -247,6 +247,15 @@ ExperimentRunner::run_trials(
     trials[c].resize(cfgs[c].trials);
     for (u32 t = 0; t < cfgs[c].trials; ++t) tasks.push_back({c, t});
   }
+  // Longest first: a trial's host time grows with its process count (Q21 at
+  // 8 processes sets the critical path), so starting the widest trials
+  // first keeps the pool busy to the end instead of leaving one long trial
+  // running alone. Results land by (cell, trial), so the order changes no
+  // output.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [&cfgs](const Task& a, const Task& b) {
+                     return cfgs[a.cell].nproc > cfgs[b.cell].nproc;
+                   });
   parallel_for_index(pool_for(tasks.size()), tasks.size(), [&](u64 i) {
     const Task tk = tasks[i];
     trials[tk.cell][tk.trial] =

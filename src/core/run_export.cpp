@@ -512,20 +512,25 @@ DiffReport diff_metrics(const util::Json& before, const util::Json& after,
   }
   if (!rep.errors.empty()) return rep;
 
-  // Index cells by identity label.
-  auto index = [](const util::Json& doc) {
+  // Index cells by identity label. A label must name one cell: a second
+  // cell under it could not be matched, so it is an error, not a drop.
+  auto index = [&rep](const util::Json& doc, const char* side) {
     std::map<std::string, const util::Json*> m;
     for (const util::Json& cell : doc.get("cells")->as_array()) {
-      m.emplace(cell_label(cell.get("platform")->as_string(),
-                           cell.get("query")->as_string(),
-                           static_cast<u64>(cell.get("nproc")->as_number()),
-                           cell.get("variant")->as_string()),
-                &cell);
+      std::string label =
+          cell_label(cell.get("platform")->as_string(),
+                     cell.get("query")->as_string(),
+                     static_cast<u64>(cell.get("nproc")->as_number()),
+                     cell.get("variant")->as_string());
+      if (!m.emplace(label, &cell).second) {
+        rep.errors.push_back(std::string(side) + ": duplicate cell " + label);
+      }
     }
     return m;
   };
-  const auto a_cells = index(before);
-  const auto b_cells = index(after);
+  const auto a_cells = index(before, "before");
+  const auto b_cells = index(after, "after");
+  if (!rep.errors.empty()) return rep;
 
   for (const auto& [label, a_cell] : a_cells) {
     const auto it = b_cells.find(label);

@@ -11,14 +11,25 @@ SpinLock::SpinLock(std::string name, sim::SimAddr addr, SpinPolicy policy)
 u64 SpinLock::free_at(u32 cpu, u64 t) const {
   // Chase overlapping holds until a fixed point: if another CPU held the
   // lock across t, we can get it no earlier than that hold's end — at which
-  // point yet another recorded hold may cover us.
+  // point yet another recorded hold may cover us. Every step jumps only
+  // over covered points, so the result is the least point >= t that no
+  // other CPU's hold covers, whatever the scan order and step size. That
+  // allows two shortcuts: skip a block whose span cannot contain t (a hold
+  // covers t only if start <= t < end), and test a block's holds against
+  // one t, jumping once to the furthest covering end (a branch-free scan).
   bool moved = true;
   while (moved) {
     moved = false;
-    for (const Hold& h : ring_) {
-      if (h.end == 0 || h.cpu == cpu) continue;
-      if (h.start <= t && t < h.end) {
-        t = h.end;
+    for (u32 b = 0; b < kBlocks; ++b) {
+      if (t < span_[b].first_start || span_[b].last_end <= t) continue;
+      u64 reach = t;
+      for (u32 i = b * kBlock; i < (b + 1) * kBlock; ++i) {
+        const Hold& h = ring_[i];
+        const bool covers = h.cpu != cpu && h.start <= t && t < h.end;
+        reach = covers && h.end > reach ? h.end : reach;
+      }
+      if (reach != t) {
+        t = reach;
         moved = true;
       }
     }
@@ -28,6 +39,20 @@ u64 SpinLock::free_at(u32 cpu, u64 t) const {
 
 void SpinLock::record(u32 cpu, u64 start, u64 end) {
   ring_[head_] = Hold{cpu, start, end};
+  const u32 b = head_ / kBlock;
+  Span& s = span_[b];
+  if (head_ % kBlock == kBlock - 1) {
+    // The block now holds only this sweep's holds: recompute its span
+    // exactly, dropping the overwritten ones the fold below kept.
+    s = Span{~u64{0}, 0};
+    for (u32 i = b * kBlock; i < (b + 1) * kBlock; ++i) {
+      s.first_start = std::min(s.first_start, ring_[i].start);
+      s.last_end = std::max(s.last_end, ring_[i].end);
+    }
+  } else {
+    s.first_start = std::min(s.first_start, start);
+    s.last_end = std::max(s.last_end, end);
+  }
   head_ = (head_ + 1) % kRing;
 }
 

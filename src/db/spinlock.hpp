@@ -42,6 +42,10 @@ class SpinLock {
   [[nodiscard]] u64 total_sleeps() const { return sleeps_; }
 
  private:
+  /// Drives record()/free_at() directly (tests/spinlock_test.cpp compares
+  /// free_at() against a brute-force fixed point).
+  friend struct SpinLockModelAccess;
+
   struct Hold {
     u32 cpu = 0;
     u64 start = 0;
@@ -58,7 +62,19 @@ class SpinLock {
   sim::SimAddr addr_;
   SpinPolicy policy_;
   static constexpr u32 kRing = 128;
+  /// Holds per skip block: free_at() passes over a block whose span does
+  /// not contain t without reading its holds (none of them can cover t).
+  static constexpr u32 kBlock = 16;
+  static constexpr u32 kBlocks = kRing / kBlock;
+  /// Bounds on a block's holds: every start >= first_start and every
+  /// end <= last_end. Exact once the ring head leaves the block; while the
+  /// head sweeps it they may also cover overwritten holds (still bounds).
+  struct Span {
+    u64 first_start = 0;
+    u64 last_end = 0;
+  };
   std::array<Hold, kRing> ring_{};
+  std::array<Span, kBlocks> span_{};
   u32 head_ = 0;
   u64 held_since_ = 0;  ///< acquire time of the current holder
   u32 holder_ = 0;

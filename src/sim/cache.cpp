@@ -52,15 +52,50 @@ const u64* SetAssocCache::find(u64 line_addr) const {
 }
 
 void SetAssocCache::touch_packed(u32 set, u32 w) {
-  u64 ord = order_[set];
+  const u64 ord = order_[set];
   if ((ord & 0xF) == w) return;  // already MRU — the steady-state case
-  // Splice nibble holding `w` out of its position p and reinsert at the
-  // MRU end; positions [0, p) shift up by one nibble, the rest stay put.
   u32 p = 1;
   while (((ord >> (4 * p)) & 0xF) != w) ++p;
-  const u64 low = ord & ((u64{1} << (4 * p)) - 1);
-  const u64 high = p >= 15 ? 0 : ord & ~((u64{1} << (4 * (p + 1))) - 1);
-  order_[set] = high | (low << 4) | w;
+  order_[set] = promote(ord, p);
+}
+
+std::optional<LineState> SetAssocCache::lookup_past_mru(u32 set, u64 want) {
+  const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
+  auto hit = [&](u32 w) { return (base[w] ^ want) - 1 < 3; };
+  auto state = [&](u32 w) { return static_cast<LineState>(base[w] ^ want); };
+  switch (repl_) {
+    case Repl::kNone:
+      return std::nullopt;  // the inline probe covered the only way
+    case Repl::kTwoWay: {
+      const auto w = static_cast<u32>(order_[set]) ^ 1;
+      if (!hit(w)) return std::nullopt;
+      order_[set] = w;
+      return state(w);
+    }
+    case Repl::kPacked: {
+      // Walk the ways MRU -> LRU: a hit at recency position p costs p + 1
+      // compares, and its promotion splices position p directly instead of
+      // searching the order word for the way's nibble.
+      const u64 ord = order_[set];
+      for (u32 p = 1; p < cfg_.assoc; ++p) {
+        const auto w = static_cast<u32>((ord >> (4 * p)) & 0xF);
+        if (hit(w)) {
+          order_[set] = promote(ord, p);
+          return state(w);
+        }
+      }
+      return std::nullopt;
+    }
+    case Repl::kStamp:
+      for (u32 w = 0; w < cfg_.assoc; ++w) {
+        if (hit(w)) {
+          touch(set, w);
+          return state(w);
+        }
+      }
+      return std::nullopt;
+  }
+  return std::nullopt;  // unreachable
 }
 
 u32 SetAssocCache::lru_way_stamp(u32 set) const {
@@ -85,19 +120,28 @@ void SetAssocCache::set_state(u64 line_addr, LineState s) {
   *v = (*v & ~u64{3}) | static_cast<u64>(s);
 }
 
+u32 SetAssocCache::insert_way(u32 set) const {
+  const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
+  for (u32 w = 0; w < cfg_.assoc; ++w) {
+    if ((base[w] & 3) == 0) return w;
+  }
+  return lru_way(set);  // set full: evict true LRU
+}
+
+std::optional<u64> SetAssocCache::victim_of(u64 line_addr) const {
+  const u32 set = set_of(line_addr);
+  const u64 v = ways_[static_cast<std::size_t>(set) * cfg_.assoc +
+                      insert_way(set)];
+  if ((v & 3) == 0) return std::nullopt;
+  return ((v >> 2) << set_bits_) | set;
+}
+
 std::optional<Eviction> SetAssocCache::insert(u64 line_addr, LineState s) {
   assert(s != LineState::I);
   assert(find(line_addr) == nullptr && "insert of already-resident line");
   const u32 set = set_of(line_addr);
   u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
-  u32 slot = cfg_.assoc;
-  for (u32 w = 0; w < cfg_.assoc; ++w) {
-    if ((base[w] & 3) == 0) {
-      slot = w;
-      break;
-    }
-  }
-  if (slot == cfg_.assoc) slot = lru_way(set);  // set full: evict true LRU
+  const u32 slot = insert_way(set);
   const u64 victim = base[slot];
   std::optional<Eviction> evicted;
   if ((victim & 3) != 0) {

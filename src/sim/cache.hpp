@@ -61,21 +61,25 @@ class SetAssocCache {
 
   /// Look up a line; returns its state or nullopt on miss. Updates LRU.
   /// Defined inline: this is the innermost probe of every simulated
-  /// reference, and the batched replay fast path needs it folded into the
-  /// caller (set/tag compute, one packed compare per way, conditional
-  /// touch).
+  /// reference. The inline part is the common case, a hit on the only way
+  /// (direct-mapped) or on the MRU way (two-way and packed recency: the low
+  /// nibble of the order word), with the same branchless test as
+  /// lookup_fixed(). An MRU hit needs no recency update, since promoting
+  /// the MRU way is a no-op. Everything else — above all the TLB probe
+  /// every reference makes when it misses the MRU entry — continues out of
+  /// line in lookup_past_mru().
   [[nodiscard]] std::optional<LineState> lookup(u64 line_addr) {
     const u32 set = set_of(line_addr);
     const u64 want = tag_of(line_addr) << 2;
-    const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
-    for (u32 w = 0; w < cfg_.assoc; ++w) {
-      const u64 v = base[w];
-      if ((v & 3) != 0 && (v & ~u64{3}) == want) {
-        touch(set, w);
-        return static_cast<LineState>(v & 3);
-      }
+    if (repl_ != Repl::kStamp) {
+      const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
+      const u64 mru =
+          repl_ == Repl::kNone ? 0 : static_cast<u64>(order_[set] & 0xF);
+      const u64 x = base[mru] ^ want;
+      if (x - 1 < 3) return static_cast<LineState>(x);
+      if (repl_ == Repl::kNone) return std::nullopt;
     }
-    return std::nullopt;
+    return lookup_past_mru(set, want);
   }
 
   /// lookup() with the associativity fixed at compile time — the batched
@@ -119,6 +123,10 @@ class SetAssocCache {
     DSS_PREFETCH(&ways_[static_cast<std::size_t>(set_of(line_addr)) *
                         cfg_.assoc]);
   }
+
+  /// Line address insert(line_addr, ...) would evict now, or nullopt when
+  /// its set has a free way. No state change (used to prefetch).
+  [[nodiscard]] std::optional<u64> victim_of(u64 line_addr) const;
 
   /// Look up without touching LRU (for invariant checks / probes).
   [[nodiscard]] std::optional<LineState> probe(u64 line_addr) const;
@@ -188,6 +196,20 @@ class SetAssocCache {
     }
   }
   void touch_packed(u32 set, u32 w);
+  /// lookup() of tag word `want` in `set` once the MRU way (if the scheme
+  /// has one) missed: the rest of the set, with the hit's recency update.
+  [[nodiscard]] std::optional<LineState> lookup_past_mru(u32 set, u64 want);
+  /// Recency word `ord` with the way at position p spliced to the MRU
+  /// position; positions [0, p) shift up by one nibble, the rest stay put.
+  [[nodiscard]] static u64 promote(u64 ord, u32 p) {
+    const u64 w = (ord >> (4 * p)) & 0xF;
+    const u64 low = ord & ((u64{1} << (4 * p)) - 1);
+    const u64 high = p >= 15 ? 0 : ord & ~((u64{1} << (4 * (p + 1))) - 1);
+    return high | (low << 4) | w;
+  }
+
+  /// Way insert() fills in `set`: the first free way, else the LRU way.
+  [[nodiscard]] u32 insert_way(u32 set) const;
 
   /// Way index of the least-recently-used way of a full set.
   [[nodiscard]] u32 lru_way(u32 set) const {

@@ -18,11 +18,10 @@ const DirEntry* Directory::probe(u64 unit_addr) const {
   return entries_.find(unit_addr);
 }
 
-void Directory::erase_if_uncached(u64 unit_addr) {
-  const DirEntry* e = entries_.find(unit_addr);
-  if (e != nullptr && e->state == DirState::Uncached && !e->migratory &&
-      !e->has_dirty_reader) {
-    entries_.erase(unit_addr);
+void Directory::erase_if_uncached(Slot& slot) {
+  const DirEntry& e = slot.value;
+  if (e.state == DirState::Uncached && !e.migratory && !e.has_dirty_reader) {
+    entries_.erase(slot);
   }
 }
 

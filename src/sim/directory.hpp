@@ -39,6 +39,8 @@ struct DirEntry {
 
 class Directory {
  public:
+  using Slot = util::FlatMap<DirEntry>::Slot;
+
   /// Pre-size the hash map for an expected number of simultaneously cached
   /// units (the sum of last-level capacities is an upper bound). Access
   /// storms otherwise trigger repeated rehashes of a multi-thousand-entry
@@ -51,8 +53,16 @@ class Directory {
   /// Probe without creating (nullptr if the unit was never cached).
   [[nodiscard]] const DirEntry* probe(u64 unit_addr) const;
 
-  /// Drop an entry that returned to Uncached (keeps the map small).
-  void erase_if_uncached(u64 unit_addr);
+  /// Slot of a unit in the directory (nullptr if absent), for a caller that
+  /// updates an entry and then trims it with one probe. Invalidated by any
+  /// insert or erase.
+  [[nodiscard]] Slot* find_slot(u64 unit_addr) {
+    return entries_.find_slot(unit_addr);
+  }
+
+  /// Drop the entry in `slot` if it returned to Uncached (keeps the map
+  /// small).
+  void erase_if_uncached(Slot& slot);
 
   void for_each(const std::function<void(u64, const DirEntry&)>& fn) const;
 

@@ -154,11 +154,10 @@ u64 MachineSim::access(u32 proc, AccessKind kind, SimAddr addr, u32 len,
                        u64 now) {
   // Sampled trial: the schedule decides per reference whether to run the
   // detailed timing model or only warm the state. Warm references return 0
-  // stall and leave every counter untouched; parts_ is cleared so a caller
-  // folding stall_parts unconditionally adds an all-zero stack.
+  // stall and leave every counter untouched (and stall_parts undefined, as
+  // after any 0-stall access).
   if (sampler_ != nullptr && !sampler_->on_access(*this, proc)) {
     warm_access(proc, kind, addr, len);
-    if (attrib_) parts_[proc] = perf::CpiStack{};
     return 0;
   }
   return access_detailed(proc, kind, addr, len, now);
@@ -170,53 +169,66 @@ u64 MachineSim::access_detailed(u32 proc, AccessKind kind, SimAddr addr,
   assert(len > 0);
   if (trace_hook_) trace_hook_(proc, kind, addr, len);
   perf::Counters& c = ctr(proc);
-  if (attrib_) parts_[proc] = perf::CpiStack{};
   SetAssocCache& l1 = caches_[proc][0];
   const u32 l1_shift = l1.line_shift();
   const u64 first = addr >> l1_shift;
   const u64 last = (addr + len - 1) >> l1_shift;
 
-  // Fast path: a single-line reference whose TLB and L1 tag probes both hit
-  // and which needs no state transition (a read hit in any state, or a
-  // write/atomic hit on an already-M line). This is the overwhelmingly
-  // common case in the measured steady state, and it skips the per-line
-  // dispatch and the whole coherence/global_op machinery. The probes are
-  // hit-only, so falling through to the general path repeats them with
-  // identical results (re-promoting an MRU entry is a no-op) — behaviour is
-  // bit-identical to the slow path. With an observer attached, every
-  // reference takes the slow path so the observer sees it; because the fast
-  // path is a pure short circuit, counters and timing do not change.
+  // The L1 probe of a single-line reference is made once, here; the general
+  // path hands its result on to access_line.
+  std::optional<LineState> st;
+  if (first == last) st = l1.lookup(first);
+
+  // Fast path: a single-line reference whose L1 probe hits and needs no
+  // state transition (a read hit in any state, or a write/atomic hit on an
+  // already-M line). This is the overwhelmingly common case in the measured
+  // steady state, and it skips the per-line dispatch and the whole
+  // coherence/global_op machinery; the TLB (a separate structure, and a
+  // single page since the reference is within one line) is translated
+  // exactly as the general path would. The general path's per-line step
+  // for such a hit returns on the same probe result (and a write to an M
+  // L1 line finds its L2 unit M already, by inclusion), so behaviour is
+  // bit-identical to it. With an observer attached, every reference takes
+  // the general path so the observer sees it; because the fast path is a
+  // pure short circuit, counters and timing do not change.
   if (first == last && obs_ == nullptr) {
-    // Probe L1 first: it is the cheaper probe and rejects the miss/upgrade
-    // cases before the associative TLB scan. Touching the LRU here and
-    // again on the slow path is idempotent.
-    if (const auto st = l1.lookup(first);
-        st.has_value() && (kind == AccessKind::Read || *st == LineState::M)) {
-      const bool tlb_ok =
-          tlbs_.empty() ||
-          tlbs_[proc].lookup(addr / kPlacementPageBytes).has_value();
-      if (tlb_ok) {
-        switch (kind) {
-          case AccessKind::Read: ++c.loads; return 0;
-          case AccessKind::Write: ++c.stores; return 0;
-          case AccessKind::Atomic:
-            ++c.atomics;
-            if (attrib_) parts_[proc].atomics = cfg_.atomic_penalty;
-            return cfg_.atomic_penalty;
-        }
+    if (st.has_value() && (kind == AccessKind::Read || *st == LineState::M)) {
+      const u64 tlb = translate<true>(proc, addr, len);
+      u64 atomic = 0;
+      switch (kind) {
+        case AccessKind::Read: ++c.loads; break;
+        case AccessKind::Write: ++c.stores; break;
+        case AccessKind::Atomic:
+          ++c.atomics;
+          atomic = cfg_.atomic_penalty;
+          break;
       }
+      if (tlb + atomic == 0) return 0;
+      if (attrib_) {
+        parts_[proc] = perf::CpiStack{};
+        parts_[proc].tlb = tlb;
+        parts_[proc].atomics = atomic;
+      }
+      return tlb + atomic;
     }
   }
 
+  // General path: stall_parts is rebuilt from zero here (the 0-stall fast
+  // path above leaves it stale, which the stall_parts contract allows).
   u64 exposed = translate<true>(proc, addr, len);
-  if (attrib_) parts_[proc].tlb = exposed;
+  if (attrib_) {
+    parts_[proc] = perf::CpiStack{};
+    parts_[proc].tlb = exposed;
+  }
   for (u64 line = first; line <= last; ++line) {
     switch (kind) {
       case AccessKind::Read: ++c.loads; break;
       case AccessKind::Write: ++c.stores; break;
       case AccessKind::Atomic: ++c.atomics; break;
     }
-    exposed += access_line<true>(proc, kind, line, now + exposed);
+    exposed += access_line<true>(proc, kind, line,
+                                 first == last ? st : l1.lookup(line),
+                                 now + exposed);
   }
   if (obs_ != nullptr) obs_->on_access(proc, kind, addr, len);
   return exposed;
@@ -226,15 +238,26 @@ void MachineSim::warm_access(u32 proc, AccessKind kind, SimAddr addr,
                              u32 len) {
   assert(proc < cfg_.num_processors);
   assert(len > 0);
-  // Always the general (slow) path: the detailed fast path is a pure short
-  // circuit of these same transitions, so skipping it keeps the state
-  // bit-identical while avoiding a second probe.
   (void)translate<false>(proc, addr, len);
-  const u32 l1_shift = caches_[proc][0].line_shift();
+  SetAssocCache& l1 = caches_[proc][0];
+  const u32 l1_shift = l1.line_shift();
   const u64 first = addr >> l1_shift;
   const u64 last = (addr + len - 1) >> l1_shift;
+  // L1 hit short circuit, as in access_detailed (the TLB, a separate
+  // structure, was already warmed above): a single-line read hit in any
+  // state, or a write/atomic hit on an M line, changes nothing beyond the
+  // LRU touch the probe itself performs — access_line<false> would return
+  // on this probe's result (an M L1 line sits above an M L2 unit by
+  // inclusion, so its set_state calls are no-ops).
+  if (first == last) {
+    const auto st = l1.lookup(first);
+    if (!st.has_value() || (kind != AccessKind::Read && *st != LineState::M)) {
+      (void)access_line<false>(proc, kind, first, st, 0);
+    }
+    return;
+  }
   for (u64 line = first; line <= last; ++line) {
-    (void)access_line<false>(proc, kind, line, 0);
+    (void)access_line<false>(proc, kind, line, l1.lookup(line), 0);
   }
 }
 
@@ -287,12 +310,13 @@ void MachineSim::warm_plain(const BatchRef* refs, std::size_t n) {
           (kind == AccessKind::Read || *st == LineState::M)) {
         continue;
       }
-      (void)access_line<false>(r.proc, kind, first, 0);
+      (void)access_line<false>(r.proc, kind, first, st, 0);
       continue;
     }
     const u64 last = (r.addr + len - 1) >> l1_shift;
+    SetAssocCache& l1 = caches_[r.proc][0];
     for (u64 line = first; line <= last; ++line) {
-      (void)access_line<false>(r.proc, kind, line, 0);
+      (void)access_line<false>(r.proc, kind, line, l1.lookup(line), 0);
     }
   }
 }
@@ -308,6 +332,7 @@ void MachineSim::access_batch(const BatchRef* refs, std::size_t n) {
       const BatchRef& r = refs[i];
       const u64 stall = access(r.proc, static_cast<AccessKind>(r.len_kind & 3),
                                r.addr, r.len_kind >> 2, 0);
+      if (stall == 0) continue;  // stall_parts is undefined (and all-zero)
       perf::Counters& c = ctr(r.proc);
       c.cycles += stall;
       if (attrib) c.stack += parts_[r.proc];
@@ -344,10 +369,9 @@ void MachineSim::batch_plain(const BatchRef* refs, std::size_t n) {
     const u64 first = r.addr >> l1_shift;
     perf::Counters& c = ctr(r.proc);
     // Inline single-line L1-hit dispatch. Counter identity with access():
-    // a 0-stall hit resets parts_ and returns 0 there, so the fold adds an
-    // all-zero stack — skipping both the reset and the fold changes nothing;
-    // an atomic hit assigns parts_.atomics = penalty after the reset, so the
-    // single-component add below is that whole fold.
+    // a 0-stall hit returns 0 there and is not folded; an atomic hit's
+    // stall_parts is the penalty alone, so the single-component add below
+    // is that whole fold.
     if (((r.addr + len - 1) >> l1_shift) == first) {
       SetAssocCache& l1 = caches_[r.proc][0];
       std::optional<LineState> st;
@@ -375,13 +399,15 @@ void MachineSim::batch_plain(const BatchRef* refs, std::size_t n) {
     // Miss, upgrade, or multi-line reference: full protocol path. The extra
     // LRU touch from the probe above is idempotent (access() re-probes).
     const u64 stall = access(r.proc, kind, r.addr, len, 0);
+    if (stall == 0) continue;  // stall_parts is undefined (and all-zero)
     c.cycles += stall;
     if (attrib) c.stack += parts_[r.proc];
   }
 }
 
 template <bool kTimed>
-u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line, u64 now) {
+u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
+                            std::optional<LineState> l1_st, u64 now) {
   [[maybe_unused]] perf::Counters& c = ctr(proc);
   const bool want_excl = kind != AccessKind::Read;
   const u64 extra_atomic =
@@ -396,7 +422,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line, u64 now) {
   if (kTimed && attrib_) parts.atomics += extra_atomic;
 
   // ---- L1 ----
-  if (auto st = l1.lookup(l1_line)) {
+  if (const auto st = l1_st) {
     if (!want_excl) return extra_atomic;          // read hit
     if (is_exclusive(*st)) {                      // write hit on E/M
       l1.set_state(l1_line, LineState::M);
@@ -434,6 +460,15 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line, u64 now) {
   }
 
   if constexpr (kTimed) ++c.l1d_misses;
+  // A last-level miss probes the directory twice, for the unit and for the
+  // victim it evicts; both slots are usually cold in host cache. Start
+  // loading them now so the loads overlap the residency-history probe (and,
+  // with two levels, the L2 probe). Advisory only.
+  const auto prefetch_dir = [&] {
+    dir_.prefetch(unit);
+    if (const auto v = ll.victim_of(unit)) dir_.prefetch(*v);
+  };
+  if (!two_level) prefetch_dir();
   // Classify against pre-fill residency history and record the fill in the
   // same probe (every path below fills l1_line; nothing observes this
   // processor's history in between, since invalidations never target the
@@ -489,6 +524,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line, u64 now) {
       return l2_exposed + mem_exposed + extra_atomic;
     }
     if constexpr (kTimed) ++c.l2d_misses;
+    prefetch_dir();
   }
 
   // ---- Coherence-unit transaction ----
@@ -759,7 +795,13 @@ void MachineSim::last_level_eviction(u32 proc, const Eviction& ev, u64 now) {
     }
   }
 
-  DirEntry& e = dir_.entry(ev.line_addr);
+  // One directory probe for the whole eviction: the slot found here is
+  // updated in place and, once Uncached, erased through the same slot.
+  Directory::Slot* slot = dir_.find_slot(ev.line_addr);
+  proto_check(slot != nullptr,
+              "evicted a copy of a unit the directory does not hold",
+              ev.line_addr, proc);
+  DirEntry& e = slot->value;
   const bool dirty = ev.state == LineState::M || l1_dirty;
   if (ev.state == LineState::S) {
     proto_check(e.state == DirState::Shared && e.is_sharer(proc),
@@ -785,7 +827,7 @@ void MachineSim::last_level_eviction(u32 proc, const Eviction& ev, u64 now) {
   }
   e.migratory = false;
   e.has_dirty_reader = false;
-  dir_.erase_if_uncached(ev.line_addr);
+  dir_.erase_if_uncached(*slot);
 }
 
 void MachineSim::proto_fail(const char* what, u64 unit, u32 proc) const {

@@ -193,13 +193,13 @@ class MachineSim {
                            u64 now);
 
   /// Issue a batch of references (at now = 0, the replay convention: no
-  /// component reads absolute time) and fold each reference's stall into the
+  /// component reads absolute time) and fold each nonzero stall into the
   /// attached counters — `cycles += stall` plus, under attribution,
   /// `stack += stall_parts`. Counters after the call are bit-identical to a
   /// per-reference access() loop doing the same fold; the batched form
-  /// exists because the per-reference loop pays a CpiStack reset and an
-  /// 11-component fold on every L1 hit, where this dispatches hits inline
-  /// and touches only the counter fields a hit can change. With an
+  /// exists because the per-reference loop pays a call and the general
+  /// dispatch on every L1 hit, where this dispatches hits inline and
+  /// touches only the counter fields a hit can change. With an
   /// observer, trace hook, or TLB model active every reference takes the
   /// general path (identical results, every hook still fires).
   void access_batch(const BatchRef* refs, std::size_t n);
@@ -267,10 +267,13 @@ class MachineSim {
   /// simulation.
   void set_addr_classes(const AddrClassRegistry* r) { classes_ = r; }
 
-  /// CPI-stack components of the most recent `access()` by `proc`; the
-  /// components sum exactly to the stall that call returned. Only populated
-  /// while attribution is on — the caller folds this into its counter
-  /// block's `stack` as it burns the stall.
+  /// CPI-stack components of the most recent `access()` by `proc`, defined
+  /// only when that call returned a nonzero stall: the components then sum
+  /// exactly to it. After a 0-stall call (an L1 hit, a warm reference under
+  /// sampling) the contents are stale, since a 0-stall split is all-zero
+  /// and the hit path does not spend a reset on it. Only populated while
+  /// attribution is on — the caller folds this into its counter block's
+  /// `stack` as it burns a nonzero stall, and skips the fold otherwise.
   [[nodiscard]] const perf::CpiStack& stall_parts(u32 proc) const {
     return parts_[proc];
   }
@@ -337,9 +340,11 @@ class MachineSim {
   void last_level_eviction(u32 proc, const Eviction& ev, u64 now);
 
   /// Per-L1-line reference; returns exposed stall cycles (always 0 when
-  /// !kTimed).
+  /// !kTimed). `l1_st` is the caller's L1 lookup() of `l1_line`, made after
+  /// the last change to that cache (each line is probed once).
   template <bool kTimed>
-  u64 access_line(u32 proc, AccessKind kind, u64 l1_line, u64 now);
+  u64 access_line(u32 proc, AccessKind kind, u64 l1_line,
+                  std::optional<LineState> l1_st, u64 now);
 
   /// Hook-free body of access_batch(), dispatched once per batch on the L1
   /// associativity (0 = generic probe) so the per-reference L1 probe is

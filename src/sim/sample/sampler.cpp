@@ -1,5 +1,6 @@
 #include "sim/sample/sampler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -31,8 +32,30 @@ RefSampler::Phase RefSampler::classify(u64 pos) const {
   return dist <= sched_.warmup_records ? Phase::kDetail : Phase::kWarm;
 }
 
+u64 RefSampler::phase_end(u64 pos) const {
+  const u64 n = sched_.unit_records;
+  const u64 k = sched_.detail_every;
+  const u64 unit = pos / n;
+  const u64 unit_end = (unit + 1) * n;
+  if (unit % k == k - 1) return unit_end;
+  // In an unmeasured unit the phase is kWarm until the distance to the next
+  // measured unit drops to `warmup_records`, then kDetail to the unit end.
+  const u64 next_measured_start = ((unit / k) * k + (k - 1)) * n;
+  const u64 w = sched_.warmup_records;
+  if (next_measured_start > w && pos < next_measured_start - w) {
+    return std::min(unit_end, next_measured_start - w);
+  }
+  return unit_end;
+}
+
 bool RefSampler::on_access(const MachineSim& m, u32 proc) {
-  const Phase ph = classify(pos_);
+  // The phase is constant between boundaries, so classify() — three
+  // divisions — runs once per phase run rather than once per reference.
+  if (pos_ == phase_end_) {
+    phase_ = classify(pos_);
+    phase_end_ = phase_end(pos_);
+  }
+  const Phase ph = phase_;
   if (ph == Phase::kMeasured) {
     if (!measuring_) open_window(m);
     ++measured_refs_;

@@ -85,12 +85,18 @@ class RefSampler {
  private:
   enum class Phase : u8 { kWarm, kDetail, kMeasured };
   [[nodiscard]] Phase classify(u64 pos) const;
+  /// First reference index after `pos` at which classify() may change:
+  /// the next unit start, or the start of the detailed-warming run before
+  /// a measured unit.
+  [[nodiscard]] u64 phase_end(u64 pos) const;
   void open_window(const MachineSim& m);
   void close_window(const MachineSim& m);
 
   SampleSchedule sched_;
   u32 nproc_;
   u64 pos_ = 0;            ///< machine-wide reference index
+  Phase phase_ = Phase::kWarm;  ///< classify() of every index up to phase_end_
+  u64 phase_end_ = 0;           ///< where on_access() reclassifies
   u64 detailed_refs_ = 0;
   u64 measured_refs_ = 0;
   bool measuring_ = false;

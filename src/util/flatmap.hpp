@@ -32,6 +32,13 @@ class FlatMap {
  public:
   static constexpr u64 kEmptyKey = ~u64{0};
 
+  /// One inline key/value pair. find_slot() hands one out so a caller can
+  /// read, update and erase an entry with a single probe.
+  struct Slot {
+    u64 key = kEmptyKey;
+    V value{};
+  };
+
   FlatMap() { rehash(kMinCapacity); }
 
   void reserve(std::size_t expected) {
@@ -62,15 +69,21 @@ class FlatMap {
     }
   }
 
-  /// Pointer to the mapped value, nullptr when absent.
-  [[nodiscard]] V* find(u64 key) {
+  /// Slot holding `key`, nullptr when absent.
+  [[nodiscard]] Slot* find_slot(u64 key) {
     std::size_t i = index_of(key);
     while (true) {
       Slot& s = slots_[i];
-      if (s.key == key) return &s.value;
+      if (s.key == key) return &s;
       if (s.key == kEmptyKey) return nullptr;
       i = (i + 1) & mask_;
     }
+  }
+
+  /// Pointer to the mapped value, nullptr when absent.
+  [[nodiscard]] V* find(u64 key) {
+    Slot* s = find_slot(key);
+    return s != nullptr ? &s->value : nullptr;
   }
   [[nodiscard]] const V* find(u64 key) const {
     return const_cast<FlatMap*>(this)->find(key);
@@ -81,16 +94,17 @@ class FlatMap {
   /// replay loop issues this a fixed lookahead ahead of each probe.
   void prefetch(u64 key) const { DSS_PREFETCH(&slots_[index_of(key)]); }
 
-  /// Remove `key` if present (backward-shift deletion: the probe chain is
-  /// compacted in place, no tombstones).
+  /// Remove `key` if present.
   void erase(u64 key) {
-    std::size_t i = index_of(key);
-    while (true) {
-      Slot& s = slots_[i];
-      if (s.key == kEmptyKey) return;
-      if (s.key == key) break;
-      i = (i + 1) & mask_;
-    }
+    if (Slot* s = find_slot(key)) erase(*s);
+  }
+
+  /// Remove the entry in `slot`, a find_slot() result no mutating call has
+  /// invalidated (backward-shift deletion: the probe chain is compacted in
+  /// place, no tombstones).
+  void erase(Slot& slot) {
+    const auto i = static_cast<std::size_t>(&slot - slots_.data());
+    assert(i < slots_.size() && slot.key != kEmptyKey);
     --size_;
     // Shift the tail of the cluster back over the hole.
     std::size_t hole = i;
@@ -122,11 +136,6 @@ class FlatMap {
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
-
-  struct Slot {
-    u64 key = kEmptyKey;
-    V value{};
-  };
 
   [[nodiscard]] std::size_t index_of(u64 key) const {
     // Fibonacci multiplicative mix: line/unit addresses are sequential in

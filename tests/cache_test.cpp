@@ -1,9 +1,12 @@
 // Unit + property tests for the set-associative cache model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/cache.hpp"
 #include "util/rng.hpp"
@@ -182,6 +185,101 @@ TEST(Cache, LookupFixedMatchesGenericDirectMapped) {
 TEST(Cache, LookupFixedMatchesGenericTwoWay) {
   lookup_fixed_equivalence<2>(1024);
   lookup_fixed_equivalence<2>(4096);
+}
+
+/// List-based true-LRU reference with MESI states: per set, resident
+/// (line, state) pairs in MRU -> LRU order.
+class RefLru {
+ public:
+  RefLru(u32 sets, u32 assoc) : sets_(sets), assoc_(assoc), lru_(sets) {}
+
+  std::optional<LineState> lookup(u64 line) {
+    auto& set = lru_[line % sets_];
+    const auto it = find(set, line);
+    if (it == set.end()) return std::nullopt;
+    set.splice(set.begin(), set, it);
+    return it->second;
+  }
+  std::optional<Eviction> insert(u64 line, LineState s) {
+    auto& set = lru_[line % sets_];
+    std::optional<Eviction> ev;
+    if (set.size() == assoc_) {
+      ev = Eviction{set.back().first, set.back().second};
+      set.pop_back();
+    }
+    set.emplace_front(line, s);
+    return ev;
+  }
+  std::optional<LineState> invalidate(u64 line) {
+    auto& set = lru_[line % sets_];
+    const auto it = find(set, line);
+    if (it == set.end()) return std::nullopt;
+    const LineState s = it->second;
+    set.erase(it);
+    return s;
+  }
+  /// SetAssocCache::append_canonical's encoding.
+  [[nodiscard]] std::vector<u64> canonical() const {
+    std::vector<u64> out;
+    for (const auto& set : lru_) {
+      out.push_back(set.size());
+      for (const auto& [line, s] : set) {
+        out.push_back((line << 2) | (static_cast<u64>(s) - 1));
+      }
+    }
+    return out;
+  }
+
+ private:
+  using Set = std::list<std::pair<u64, LineState>>;
+  static Set::iterator find(Set& set, u64 line) {
+    return std::find_if(set.begin(), set.end(),
+                        [line](const auto& e) { return e.first == line; });
+  }
+  u32 sets_, assoc_;
+  std::vector<Set> lru_;
+};
+
+TEST(Cache, RandomOpsMatchListLruAcrossReplacementSchemes) {
+  // assoc 4/7/8/16 use the packed recency word (7 and 8 are the scaled
+  // TLBs), 32 the timestamp scheme. Lines span three times the capacity so
+  // sets overflow; invalidations leave holes that later inserts refill.
+  constexpr LineState kStates[] = {LineState::S, LineState::E, LineState::M};
+  for (u32 assoc : {4u, 7u, 8u, 16u, 32u}) {
+    SCOPED_TRACE(assoc);
+    constexpr u32 kSets = 4;
+    SetAssocCache c(CacheConfig{u64{kSets} * 32 * assoc, 32, assoc, 1});
+    ASSERT_EQ(c.config().num_sets(), kSets);
+    RefLru ref(kSets, assoc);
+    Rng rng(assoc);
+    const i64 span = 3 * kSets * assoc;
+    for (int i = 0; i < 30'000; ++i) {
+      const u64 line = static_cast<u64>(rng.uniform(0, span - 1));
+      if (rng.chance(0.15)) {
+        ASSERT_EQ(c.invalidate(line), ref.invalidate(line)) << "op " << i;
+        continue;
+      }
+      const auto got = c.lookup(line);
+      ASSERT_EQ(got, ref.lookup(line)) << "op " << i;
+      if (got) continue;
+      const LineState s = kStates[rng.uniform(0, 2)];
+      const auto ev = c.insert(line, s);
+      const auto ref_ev = ref.insert(line, s);
+      ASSERT_EQ(ev.has_value(), ref_ev.has_value()) << "op " << i;
+      if (ev) {
+        ASSERT_EQ(ev->line_addr, ref_ev->line_addr) << "op " << i;
+        ASSERT_EQ(ev->state, ref_ev->state) << "op " << i;
+      }
+      if (i % 97 == 0) {
+        std::vector<u64> canon;
+        c.append_canonical(canon);
+        ASSERT_EQ(canon, ref.canonical()) << "op " << i;
+      }
+    }
+    std::vector<u64> canon;
+    c.append_canonical(canon);
+    EXPECT_EQ(canon, ref.canonical());
+  }
 }
 
 TEST(Cache, ResidentCountTracksInsertEvictInvalidate) {

@@ -35,8 +35,8 @@ TEST(Directory, EraseIfUncachedKeepsLiveEntries) {
   Directory d;
   d.entry(1).state = DirState::Shared;
   (void)d.entry(2);  // stays Uncached
-  d.erase_if_uncached(1);
-  d.erase_if_uncached(2);
+  d.erase_if_uncached(*d.find_slot(1));
+  d.erase_if_uncached(*d.find_slot(2));
   EXPECT_NE(d.probe(1), nullptr);
   EXPECT_EQ(d.probe(2), nullptr);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -68,6 +69,39 @@ TEST(ParallelRunner, RunCellsMatchesPerCellSerialRuns) {
   ASSERT_EQ(batch.size(), cfgs.size());
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     expect_identical(serial.run(cfgs[i]), batch[i]);
+  }
+}
+
+TEST(ParallelRunner, RunCellsKeepsInputOrderWhateverTheTaskOrder) {
+  // run_trials starts the widest trials first; the results must still come
+  // back in input order and identical at any pool size. Widths are given
+  // shuffled so the sorted task order differs from the input order.
+  std::vector<ExperimentConfig> cfgs;
+  const std::pair<tpch::QueryId, u32> cells[] = {
+      {tpch::QueryId::Q6, 1}, {tpch::QueryId::Q12, 3},
+      {tpch::QueryId::Q6, 2}, {tpch::QueryId::Q12, 1},
+      {tpch::QueryId::Q6, 3}};
+  for (const auto& [q, np] : cells) {
+    ExperimentConfig cfg;
+    cfg.platform = perf::Platform::Origin2000;
+    cfg.query = q;
+    cfg.nproc = np;
+    cfg.trials = 2;
+    cfg.scale = ScaleConfig{64};
+    cfg.seed = 5;
+    cfgs.push_back(cfg);
+  }
+
+  ExperimentRunner serial(ScaleConfig{64}, 5, /*jobs=*/1);
+  ExperimentRunner parallel(ScaleConfig{64}, 5, /*jobs=*/3);
+  const auto a = serial.run_cells(cfgs);
+  const auto b = parallel.run_cells(cfgs);
+  ASSERT_EQ(a.size(), cfgs.size());
+  ASSERT_EQ(b.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(a[i], b[i]);
+    expect_identical(serial.run(cfgs[i]), a[i]);
   }
 }
 

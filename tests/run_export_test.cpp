@@ -182,6 +182,18 @@ TEST(RunExport, MismatchedCellsReportErrors) {
   EXPECT_EQ(rep.errors.size(), 2u);
 }
 
+TEST(RunExport, DuplicateCellLabelIsAnError) {
+  // Cells are matched by label; a second cell under one label would be
+  // dropped from the comparison, so the diff refuses the document.
+  MetricsDoc a = make_doc(1e6, 2e6);
+  MetricsDoc b = make_doc(1e6, 2e6);
+  b.cells.push_back(b.cells[0]);
+  const DiffReport rep = diff_metrics(round_trip(a), round_trip(b));
+  ASSERT_EQ(rep.errors.size(), 1u);
+  EXPECT_EQ(rep.errors[0], "after: duplicate cell V-Class/Q6/4");
+  EXPECT_TRUE(rep.deltas.empty());
+}
+
 TEST(RunExport, SampledCellRoundTripsWithCiObjects) {
   MetricsDoc doc = make_doc(1e6, 2e6);
   ExportCell& c = doc.cells[0];

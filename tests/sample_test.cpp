@@ -18,9 +18,11 @@
 #include "core/experiment.hpp"
 #include "perf/counters.hpp"
 #include "sim/batch.hpp"
+#include "sim/machine.hpp"
 #include "sim/machine_configs.hpp"
 #include "sim/refstream.hpp"
 #include "sim/sample/sample.hpp"
+#include "sim/sample/sampler.hpp"
 #include "util/threadpool.hpp"
 
 namespace dss::sim {
@@ -160,6 +162,31 @@ TEST(SampleReplay, LivePointRestoreBitIdenticalToWarmThrough) {
   expect_counters_identical(warmed, through);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(ExecSampling, SamplerPhasesFollowTheSchedule) {
+  // RefSampler::on_access reclassifies only at phase boundaries; every
+  // reference must still get the phase the schedule defines. Schedules
+  // cover no warming, warming shorter than, equal to and longer than a
+  // unit, and warming longer than the whole lead-in to the first window.
+  MachineSim m(config_for(perf::Platform::VClass).scaled(256));
+  const SampleSchedule scheds[] = {{10, 4, 0},  {10, 4, 3},  {10, 4, 10},
+                                   {10, 4, 25}, {7, 3, 100}, {1, 2, 0},
+                                   {5, 2, 4},   {3, 5, 1}};
+  for (const SampleSchedule& sc : scheds) {
+    SCOPED_TRACE(testing::Message() << "N=" << sc.unit_records << " K="
+                                    << sc.detail_every
+                                    << " W=" << sc.warmup_records);
+    RefSampler s(sc, 1);
+    for (u64 pos = 0; pos < 600; ++pos) {
+      const u64 unit = pos / sc.unit_records;
+      const u64 k = sc.detail_every;
+      const u64 next_window = ((unit / k) * k + k - 1) * sc.unit_records;
+      const bool detailed =
+          unit % k == k - 1 || next_window - pos <= sc.warmup_records;
+      ASSERT_EQ(s.on_access(m, 0), detailed) << "reference " << pos;
+    }
+  }
 }
 
 }  // namespace
