@@ -14,20 +14,20 @@
 // by construction. `--epoch-records N` turns on the scheduling-epoch
 // contention model (default off here), which is what engages the
 // pipelined epoch engine at shards > 1.
+#include <algorithm>
 #include <iostream>
 #include <iterator>
+#include <tuple>
 
 #include "bench_common.hpp"
-#include "core/run_export.hpp"
 #include "perf/platform_events.hpp"
 #include "sim/batch.hpp"
 #include "sim/machine_configs.hpp"
 #include "sim/refstream.hpp"
 #include "sim/sample/sample.hpp"
 
+namespace dss::bench {
 namespace {
-
-using namespace dss;
 
 /// Fixed stream length per pattern.
 constexpr u64 kRecords = 200'000;
@@ -48,8 +48,7 @@ struct Cell {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = core::parse_bench_options(argc, argv);
+int BENCH_refstream(const core::BenchOptions& opts) {
   const u32 jobs =
       opts.jobs == 0 ? dss::ThreadPool::default_jobs() : opts.jobs;
   std::cout << "(replay-core scoreboard: " << kRecords
@@ -73,16 +72,11 @@ int main(int argc, char** argv) {
                       ? ""
                       : (", live points in " + opts.live_points).c_str())
               << ")\n";
-  } else if (!opts.live_points.empty()) {
-    std::cerr << opts.bench_name
-              << ": warning: --live-points needs an enabled sampling "
-                 "schedule (--sample-units/--sample-detail); ignored\n";
   }
 
   const std::vector<std::pair<perf::Platform, sim::MachineConfig>> machines = {
-      {perf::Platform::VClass, sim::vclass().scaled(opts.scale_denom)},
-      {perf::Platform::Origin2000,
-       sim::origin2000().scaled(opts.scale_denom)}};
+      {kVClass, sim::vclass().scaled(opts.scale_denom)},
+      {kOrigin, sim::origin2000().scaled(opts.scale_denom)}};
 
   // One compile cache across every (pattern, shard-count) replay of a
   // machine: each stream compiles once per machine instead of once per
@@ -161,43 +155,33 @@ int main(int argc, char** argv) {
               << " cells restored from live points\n\n";
   }
 
-  if (!opts.metrics_path.empty()) {
-    core::MetricsDoc doc;
-    doc.bench = opts.bench_name;
-    doc.scale_denom = opts.scale_denom;
-    doc.seed = opts.seed;
-    for (const Cell& c : cells) {
-      core::ExportCell ec;
-      ec.platform = perf::platform_name(c.platform);
-      ec.query = sim::ref_pattern_name(c.pattern);
-      ec.nproc = static_cast<u32>(c.counters.size());
-      ec.trials = 1;
-      ec.variant = "shards=" + std::to_string(c.shards);
-      ec.result = c.result;
-      doc.cells.push_back(std::move(ec));
-    }
-    core::write_metrics_file(opts.metrics_path, doc);
-    std::cout << "(exported run metrics to " << opts.metrics_path << ")\n";
+  std::vector<core::ExportCell> exported;
+  for (const Cell& c : cells) {
+    exported.push_back({.platform = perf::platform_name(c.platform),
+                        .query = sim::ref_pattern_name(c.pattern),
+                        .nproc = static_cast<u32>(c.counters.size()),
+                        .variant = "shards=" + std::to_string(c.shards),
+                        .result = c.result});
   }
+  write_export(opts, std::move(exported));
 
   // The scoreboard's correctness claim: the shard partition really is
   // transparent — every simulated counter is bit-identical across shard
   // counts.
+  auto key = [](const perf::Counters& c) {
+    return std::tuple{c.cycles, c.l1d_misses, c.l2d_misses,
+                      c.mem_latency_cycles, c.stack.total()};
+  };
   bool identical = true;
   for (std::size_t i = 0; i + kVariants <= cells.size(); i += kVariants) {
-    const auto& a = cells[i].counters;
     for (std::size_t v = 1; v < kVariants; ++v) {
-      const auto& b = cells[i + v].counters;
-      identical = identical && a.size() == b.size();
-      for (std::size_t p = 0; identical && p < a.size(); ++p) {
-        identical = a[p].cycles == b[p].cycles &&
-                    a[p].l1d_misses == b[p].l1d_misses &&
-                    a[p].l2d_misses == b[p].l2d_misses &&
-                    a[p].mem_latency_cycles == b[p].mem_latency_cycles &&
-                    a[p].stack.total() == b[p].stack.total();
-      }
+      identical = identical && std::ranges::equal(cells[i].counters,
+                                                  cells[i + v].counters, {},
+                                                  key, key);
     }
   }
   return bench::report_claims(
       {{"replay results bit-identical across shard counts", identical}});
 }
+
+}  // namespace dss::bench

@@ -11,19 +11,17 @@
 //
 // Everything here is simulated and deterministic: the latency distribution
 // is a pure function of (--scale, --seed, --sessions, --arrival, ...) and
-// is bit-identical at every --jobs and --shards value. That is what lets
+// is bit-identical at every --jobs value. That is what lets
 // `bench/BENCH_serving.json` be a committed baseline that CI diffs exactly
 // (`dss_report --ci-gate --metric serving.p99_ms`).
 #include <cstdio>
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/run_export.hpp"
 #include "core/serving.hpp"
 
+namespace dss::bench {
 namespace {
-
-using namespace dss;
 
 /// The offered-load sweep when --target-load is not given: well below the
 /// knee, approaching it, and just under saturation.
@@ -35,20 +33,11 @@ std::string fmt2(double v) {
   return buf;
 }
 
-struct ServeCell {
-  perf::Platform platform;
-  u32 cpus;
-  std::string variant;
-  core::ServingResult result;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto opts = core::parse_bench_options(argc, argv);
-  const u32 trials = std::max(1u, opts.trials);
+int BENCH_serving(const core::BenchOptions& opts) {
   std::cout << "(serving scoreboard: scale 1/" << opts.scale_denom << ", seed "
-            << opts.seed << ", calibration trials " << trials << ", "
+            << opts.seed << ", calibration trials " << opts.trials << ", "
             << opts.sessions << " sessions, jobs "
             << (opts.jobs == 0 ? dss::ThreadPool::default_jobs() : opts.jobs)
             << ")\n";
@@ -65,32 +54,37 @@ int main(int argc, char** argv) {
   const bool run_open = opts.arrival != "closed";
   const bool run_closed = opts.arrival != "open";
 
-  std::vector<ServeCell> cells;
-  for (perf::Platform platform :
-       {perf::Platform::VClass, perf::Platform::Origin2000}) {
+  // Each cell is exported as it stands; `serving` carries its queueing side.
+  std::vector<core::ExportCell> cells;
+  for (perf::Platform platform : {kVClass, kOrigin}) {
     for (u32 cpus : opts.cpus) {
       const core::ServingCalibration calib = core::calibrate_serving(
-          runner, platform, tpch::QueryId::Q6, cpus, trials, opts.seed);
+          runner, platform, tpch::QueryId::Q6, cpus, opts.trials, opts.seed);
 
       core::ServingConfig cfg;
       cfg.platform = platform;
       cfg.cpus = cpus;
       cfg.sessions = opts.sessions;
       cfg.think_time_ms = opts.think_time_ms;
-      cfg.trials = trials;
+      cfg.trials = opts.trials;
       cfg.seed = opts.seed;
+      auto serve = [&](std::string variant) {
+        const core::ServingResult r = core::serve(calib, cfg);
+        cells.push_back({.platform = perf::platform_name(platform),
+                         .query = tpch::query_name(tpch::QueryId::Q6),
+                         .nproc = cpus,
+                         .trials = opts.trials,
+                         .variant = std::move(variant),
+                         .result = r.machine,
+                         .serving = r.stats});
+      };
 
       // Open-loop offered-load sweep: the knee table.
       if (run_open) {
         for (double load : loads) {
           cfg.arrival = db::ArrivalMode::kOpen;
           cfg.target_load = load;
-          ServeCell cell;
-          cell.platform = platform;
-          cell.cpus = cpus;
-          cell.variant = "serve:open:load=" + fmt2(load);
-          cell.result = core::serve(calib, cfg);
-          cells.push_back(std::move(cell));
+          serve("serve:open:load=" + fmt2(load));
         }
       }
 
@@ -99,23 +93,16 @@ int main(int argc, char** argv) {
       if (run_closed) {
         cfg.arrival = db::ArrivalMode::kClosed;
         cfg.target_load = 0.0;
-        ServeCell cell;
-        cell.platform = platform;
-        cell.cpus = cpus;
-        cell.variant =
-            "serve:closed:sessions=" + std::to_string(opts.sessions);
-        cell.result = core::serve(calib, cfg);
-        cells.push_back(std::move(cell));
+        serve("serve:closed:sessions=" + std::to_string(opts.sessions));
       }
     }
   }
 
   Table t({"machine", "cpus", "mode", "load", "QphH", "conc", "p50 ms",
            "p95 ms", "p99 ms", "max queue"});
-  for (const ServeCell& c : cells) {
-    const core::ServingStats& s = c.result.stats;
-    t.add_row({perf::platform_name(c.platform), std::to_string(c.cpus),
-               s.arrival,
+  for (const core::ExportCell& c : cells) {
+    const core::ServingStats& s = *c.serving;
+    t.add_row({c.platform, std::to_string(c.nproc), s.arrival,
                s.arrival == "open" ? fmt2(s.target_load) : "-",
                Table::num(s.achieved_qph, 0), fmt2(s.mean_concurrency),
                Table::num(s.p50_ms, 3), Table::num(s.p95_ms, 3),
@@ -123,32 +110,14 @@ int main(int argc, char** argv) {
   }
   core::print_figure(std::cout, "BENCH_serving load vs latency", t);
 
-  if (!opts.metrics_path.empty()) {
-    core::MetricsDoc doc;
-    doc.bench = opts.bench_name;
-    doc.scale_denom = opts.scale_denom;
-    doc.seed = opts.seed;
-    for (const ServeCell& c : cells) {
-      core::ExportCell ec;
-      ec.platform = perf::platform_name(c.platform);
-      ec.query = tpch::query_name(tpch::QueryId::Q6);
-      ec.nproc = c.cpus;
-      ec.trials = trials;
-      ec.variant = c.variant;
-      ec.result = c.result.machine;
-      ec.serving = c.result.stats;
-      doc.cells.push_back(std::move(ec));
-    }
-    core::write_metrics_file(opts.metrics_path, doc);
-    std::cout << "(exported run metrics to " << opts.metrics_path << ")\n";
-  }
+  write_export(opts, cells);
 
   // Claims: the knee exists (tail latency grows from the lightest to the
   // heaviest offered load), the closed loop conserves queries, and the
   // percentiles are ordered.
   bool knee = true, conserved = true, ordered = true;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const core::ServingStats& s = cells[i].result.stats;
+    const core::ServingStats& s = *cells[i].serving;
     ordered = ordered && s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms;
     if (s.arrival == "closed") {
       conserved = conserved &&
@@ -160,8 +129,8 @@ int main(int argc, char** argv) {
       (run_open ? loads.size() : 0) + (run_closed ? 1 : 0);
   if (run_open && loads.size() > 1) {
     for (std::size_t i = 0; i + loads.size() <= cells.size(); i += group) {
-      const auto& lo = cells[i].result.stats;
-      const auto& hi = cells[i + loads.size() - 1].result.stats;
+      const auto& lo = *cells[i].serving;
+      const auto& hi = *cells[i + loads.size() - 1].serving;
       knee = knee && hi.p99_ms >= lo.p99_ms;
     }
   }
@@ -172,3 +141,5 @@ int main(int argc, char** argv) {
         conserved},
        {"latency percentiles are ordered (p50 <= p95 <= p99)", ordered}});
 }
+
+}  // namespace dss::bench

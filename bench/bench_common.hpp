@@ -1,10 +1,9 @@
-// Shared scaffolding for the figure-reproduction bench binaries.
+// Shared scaffolding for the `dss_bench` experiments.
 //
-// Every binary accepts --scale N (memory-scale denominator, default 16),
-// --trials N (default 4, matching the paper), --seed N; prints the figure as
-// an aligned table plus a CSV block; and ends with a "paper claims" section
-// checking the qualitative statements the figure supports (recorded in
-// EXPERIMENTS.md).
+// Every experiment prints its figure as an aligned table plus a CSV block
+// and ends with a "paper claims" section checking the qualitative
+// statements the figure supports (recorded in EXPERIMENTS.md); its exit
+// status is the number of claims that do not reproduce.
 #pragma once
 
 #include <cmath>
@@ -17,10 +16,28 @@
 
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
+#include "core/run_export.hpp"
+#include "sim/machine_configs.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
 namespace dss::bench {
+
+inline constexpr perf::Platform kVClass = perf::Platform::VClass;
+inline constexpr perf::Platform kOrigin = perf::Platform::Origin2000;
+
+/// An experiment's body; returns the exit status.
+using Run = int(const core::BenchOptions&);
+
+/// One registry entry of `dss_bench`: the name (also the export's "bench"
+/// label), a one-line description, the flags the experiment reads and its
+/// body.
+struct Experiment {
+  const char* name;
+  const char* about;
+  core::FlagSet flags;
+  Run* run;
+};
 
 struct Claim {
   std::string text;
@@ -47,6 +64,7 @@ inline core::ExperimentRunner make_runner(const core::BenchOptions& o) {
             << (o.check ? ", invariant checker ON" : "") << ")\n";
   core::ExperimentRunner runner(core::ScaleConfig{o.scale_denom}, o.seed,
                                 o.jobs);
+  runner.set_check(o.check);
   if (!o.metrics_path.empty()) {
     runner.set_metrics_export(o.bench_name, o.metrics_path);
     std::cout << "(exporting run metrics to " << o.metrics_path << ")\n";
@@ -62,33 +80,34 @@ inline core::ExperimentRunner make_runner(const core::BenchOptions& o) {
         static_cast<unsigned long long>(sched.warmup_records),
         100.0 * sched.detail_fraction());
   }
-  if (!o.live_points.empty()) {
-    // Live points checkpoint a *replay* stream; the fig/abl binaries are
-    // execution-driven and have none. BENCH_refstream handles the flag.
-    std::cerr << o.bench_name
-              << ": warning: --live-points applies to replay-driven benches "
-                 "only; ignored here\n";
-  }
   return runner;
 }
 
-/// A batch of (platform, query, nproc) cells executed by one `run_cells`
-/// call, addressable by coordinates. The map is filled serially after the
-/// parallel run completes, so iteration order never depends on threading.
-class CellBatch {
- public:
-  [[nodiscard]] const core::RunResult& at(perf::Platform pl,
-                                          tpch::QueryId q, u32 np) const {
-    return cells_.at({static_cast<int>(pl), static_cast<int>(q), np});
-  }
+/// Write `cells` to the --metrics path as one document, if a path was given.
+inline void write_export(const core::BenchOptions& o,
+                         std::vector<core::ExportCell> cells) {
+  if (o.metrics_path.empty()) return;
+  core::write_metrics_file(
+      o.metrics_path,
+      core::MetricsDoc{o.bench_name, o.scale_denom, o.seed, std::move(cells)});
+  std::cout << "(exported run metrics to " << o.metrics_path << ")\n";
+}
 
-  void put(perf::Platform pl, tpch::QueryId q, u32 np, core::RunResult r) {
-    cells_[{static_cast<int>(pl), static_cast<int>(q), np}] = std::move(r);
-  }
+/// `cfg` on its platform's stock machine model changed by `edit`, labelled
+/// `variant` in the export.
+template <class Edit>
+core::ExperimentConfig machine_variant(core::ExperimentConfig cfg,
+                                       std::string variant, Edit edit) {
+  sim::MachineConfig mc = sim::config_for(cfg.platform);
+  edit(mc);
+  cfg.machine_override = std::move(mc);
+  cfg.variant = std::move(variant);
+  return cfg;
+}
 
- private:
-  std::map<std::tuple<int, int, u32>, core::RunResult> cells_;
-};
+/// The results of one cell_batch, keyed by (platform, query, nproc).
+using CellBatch =
+    std::map<std::tuple<perf::Platform, tpch::QueryId, u32>, core::RunResult>;
 
 /// Run every (platform x query x nproc) combination concurrently.
 inline CellBatch cell_batch(
@@ -100,43 +119,51 @@ inline CellBatch cell_batch(
   for (auto pl : platforms) {
     for (auto q : queries) {
       for (u32 np : nprocs) {
-        core::ExperimentConfig cfg;
-        cfg.platform = pl;
-        cfg.query = q;
-        cfg.nproc = np;
-        cfg.trials = opts.trials;
-        cfg.scale = runner.scale();
-        cfg.seed = opts.seed;
-        cfg.check = opts.check;
-        cfgs.push_back(cfg);
+        cfgs.push_back(runner.cell(pl, q, np, opts.trials));
       }
     }
   }
-  auto results = runner.run_cells(cfgs);
+  std::vector<core::RunResult> results = runner.run_cells(cfgs);
   CellBatch out;
-  std::size_t i = 0;
-  for (auto pl : platforms) {
-    for (auto q : queries) {
-      for (u32 np : nprocs) out.put(pl, q, np, std::move(results[i++]));
-    }
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    out.emplace(std::tuple{cfgs[i].platform, cfgs[i].query, cfgs[i].nproc},
+                std::move(results[i]));
   }
   return out;
 }
 
+/// Figs. 2-4's grid, as one batch: every query at 1 and 8 processes on both
+/// machines.
+inline CellBatch one_and_eight(const core::BenchOptions& opts) {
+  auto runner = make_runner(opts);
+  return cell_batch(runner, opts, {1u, 8u}, {kVClass, kOrigin});
+}
+
+/// Print Figs. 2-4's pair of tables, (a) at 1 process and (b) at 8, with
+/// one row per query: `row(query, V-Class result, Origin result)`.
+template <class Row>
+void print_one_and_eight(const CellBatch& batch,
+                         const std::vector<std::string>& headers,
+                         const std::string& title_1,
+                         const std::string& title_8, Row row) {
+  for (u32 np : {1u, 8u}) {
+    Table t(headers);
+    for (auto q : core::kQueries) {
+      t.add_row(row(q, batch.at({kVClass, q, np}), batch.at({kOrigin, q, np})));
+    }
+    core::print_figure(std::cout, np == 1 ? title_1 : title_8, t);
+  }
+}
+
 /// One platform's (query x nproc) sweep over the paper's process-count
 /// series, addressed as `at({query index in core::kQueries, nproc})`.
-class SweepResults {
- public:
-  SweepResults(perf::Platform platform, CellBatch batch)
-      : platform_(platform), batch_(std::move(batch)) {}
+struct SweepResults {
+  perf::Platform platform;
+  CellBatch batch;
 
   [[nodiscard]] const core::RunResult& at(std::pair<int, u32> key) const {
-    return batch_.at(platform_, core::kQueries.at(key.first), key.second);
+    return batch.at({platform, core::kQueries.at(key.first), key.second});
   }
-
- private:
-  perf::Platform platform_;
-  CellBatch batch_;
 };
 
 /// Run the full (query x nproc) sweep as one batch of cells on the runner's
@@ -150,8 +177,7 @@ inline SweepResults run_sweep(core::ExperimentRunner& runner,
 /// Render one metric of a sweep as the paper's line-chart table: one row per
 /// process count, one column per query.
 inline Table sweep_table(const SweepResults& sweep,
-                         double (*metric)(const core::RunResult&),
-                         int precision) {
+                         double core::RunResult::*metric, int precision) {
   // Headers and column count follow core::kQueries, so extending the query
   // list extends every figure table with it.
   std::vector<std::string> headers{"processes"};
@@ -160,7 +186,7 @@ inline Table sweep_table(const SweepResults& sweep,
   for (u32 np : core::kProcSeries) {
     std::vector<std::string> row{std::to_string(np)};
     for (int qi = 0; qi < static_cast<int>(core::kQueries.size()); ++qi) {
-      row.push_back(Table::num(metric(sweep.at({qi, np})), precision));
+      row.push_back(Table::num(sweep.at({qi, np}).*metric, precision));
     }
     t.add_row(std::move(row));
   }

@@ -23,9 +23,9 @@
 #include "util/table.hpp"
 #include "util/units.hpp"
 
+namespace dss::bench {
 namespace {
 
-using namespace dss;
 using namespace dss::sim;
 
 /// Average exposed cycles per dependent load while chasing random lines
@@ -118,7 +118,7 @@ double lock_pingpong(const MachineConfig& cfg) {
 
 }  // namespace
 
-int main() {
+int micro_machine_latency(const core::BenchOptions& /*opts*/) {
   // lat_mem_rd plateaus.
   Table t({"footprint", "V-Class (cycles)", "Origin (cycles)"});
   const std::vector<u64> sizes = {16 * KiB,  64 * KiB,  256 * KiB, 1 * MiB,
@@ -150,3 +150,5 @@ int main() {
                      comm);
   return 0;
 }
+
+}  // namespace dss::bench

@@ -7,6 +7,9 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
@@ -16,21 +19,25 @@ int main(int argc, char** argv) {
   using namespace dss;
 
   tpch::QueryId query = tpch::QueryId::Q6;
-  core::BenchOptions opts;
-  opts.trials = 2;
-  std::vector<char*> rest;
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i][0] != '-') {
-      query = tpch::query_from_name(argv[i]);
-    } else {
-      rest.push_back(argv[i]);
+  // Two trials unless --trials says otherwise: the user's flags come after
+  // this default, and the last --trials wins.
+  std::string default_trials[] = {"--trials", "2"};
+  std::vector<char*> rest = {argv[0], default_trials[0].data(),
+                             default_trials[1].data()};
+  int first = 1;  // the query, when given, comes before the flags
+  if (argc > 1 && argv[1][0] != '-') {
+    try {
+      query = tpch::query_from_name(argv[first++]);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << e.what() << "\nusage: scaling_study [Q6|Q21|Q12] "
+                << "[--scale N] [--trials N]\n";
+      return 2;
     }
   }
-  rest.insert(rest.begin(), argv[0]);
-  const auto parsed =
-      core::parse_bench_options(static_cast<int>(rest.size()), rest.data());
-  opts.scale_denom = parsed.scale_denom;
-  if (parsed.trials != 4) opts.trials = parsed.trials;
+  rest.insert(rest.end(), argv + first, argv + argc);
+  const auto opts =
+      core::parse_bench_options(static_cast<int>(rest.size()), rest.data(),
+                                core::Flag::scale | core::Flag::trials);
 
   std::printf("Scaling study for TPC-H %s (scale 1/%u, %u trials)\n\n",
               tpch::query_name(query), opts.scale_denom, opts.trials);

@@ -70,8 +70,9 @@ ThreadPool* ExperimentRunner::pool_for(u64 task_count) {
   return pool_.get();
 }
 
-RunResult ExperimentRunner::run(perf::Platform platform, tpch::QueryId query,
-                                u32 nproc, u32 trials) {
+ExperimentConfig ExperimentRunner::cell(perf::Platform platform,
+                                        tpch::QueryId query, u32 nproc,
+                                        u32 trials) const {
   ExperimentConfig cfg;
   cfg.platform = platform;
   cfg.query = query;
@@ -79,7 +80,13 @@ RunResult ExperimentRunner::run(perf::Platform platform, tpch::QueryId query,
   cfg.trials = trials;
   cfg.scale = scale_;
   cfg.seed = seed_;
-  return run(cfg);
+  cfg.check = check_;
+  return cfg;
+}
+
+RunResult ExperimentRunner::run(perf::Platform platform, tpch::QueryId query,
+                                u32 nproc, u32 trials) {
+  return run(cell(platform, query, nproc, trials));
 }
 
 RunResult ExperimentRunner::run(const ExperimentConfig& cfg) {
@@ -273,9 +280,11 @@ void ExperimentRunner::record(const ExperimentConfig& cfg,
   cell.query = tpch::query_name(query);
   cell.nproc = cfg.nproc;
   cell.trials = cfg.trials;
+  // An override without a label of its own is named by its kind.
+  const bool named = !label.empty();
   for (const char* o : {cfg.machine_override ? "machine_override" : nullptr,
                         cfg.spin_override ? "spin_override" : nullptr}) {
-    if (o == nullptr) continue;
+    if (o == nullptr || named) continue;
     if (!label.empty()) label += "+";
     label += o;
   }
@@ -329,7 +338,7 @@ std::vector<RunResult> ExperimentRunner::run_cells(
   out.reserve(cfgs.size());
   for (u32 c = 0; c < cfgs.size(); ++c) {
     out.push_back(reduce(cfgs[c], trials[c], 0, cfgs[c].nproc));
-    record(cfgs[c], cfgs[c].query, "", out.back());
+    record(cfgs[c], cfgs[c].query, cfgs[c].variant, out.back());
   }
   return out;
 }
@@ -338,12 +347,8 @@ std::vector<RunResult> ExperimentRunner::run_mix(
     perf::Platform platform, const std::vector<tpch::QueryId>& mix,
     u32 trials) {
   assert(!mix.empty() && trials >= 1);
-  ExperimentConfig cfg;
-  cfg.platform = platform;
-  cfg.nproc = static_cast<u32>(mix.size());
-  cfg.trials = trials;
-  cfg.scale = scale_;
-  cfg.seed = seed_;
+  ExperimentConfig cfg =
+      cell(platform, mix.front(), static_cast<u32>(mix.size()), trials);
   cfg.sample = sample_;
   std::vector<TrialResult> per_trial =
       std::move(run_trials({&cfg, 1}, {&mix, 1}).front());

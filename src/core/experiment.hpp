@@ -61,6 +61,10 @@ struct ExperimentConfig {
   std::optional<sim::MachineConfig> machine_override;
   /// Ablations: override the DBMS spinlock backoff policy.
   std::optional<db::SpinPolicy> spin_override;
+  /// The cell's export label when it carries an override: names what the
+  /// override changes (e.g. "l2=1 MiB"), so the cells of one ablation
+  /// have distinct labels.
+  std::string variant;
   /// Attach the runtime coherence-invariant checker (sim/check) to every
   /// trial's machine. Observation-only: metrics are bit-identical to an
   /// unchecked run; an invariant violation throws sim::ProtocolViolation.
@@ -165,6 +169,16 @@ class ExperimentRunner {
   void set_sampling(const sim::SampleSchedule& sched) { sample_ = sched; }
   [[nodiscard]] const sim::SampleSchedule& sampling() const { return sample_; }
 
+  /// Runner-wide invariant checker (`--check`): every cell built by cell()
+  /// and every run_mix cell runs under it.
+  void set_check(bool check) { check_ = check; }
+
+  /// The one cell builder: `nproc` processes of `query` on `platform`, at
+  /// `trials` and this runner's scale, seed and checker setting.
+  [[nodiscard]] ExperimentConfig cell(perf::Platform platform,
+                                      tpch::QueryId query, u32 nproc,
+                                      u32 trials) const;
+
   [[nodiscard]] RunResult run(const ExperimentConfig& cfg);
 
   /// Run a batch of configuration cells, scheduling every (cell, trial)
@@ -173,18 +187,17 @@ class ExperimentRunner {
   [[nodiscard]] std::vector<RunResult> run_cells(
       std::span<const ExperimentConfig> cfgs);
 
-  /// Convenience: run one (platform, query, nproc) cell at this runner's
-  /// scale and seed.
+  /// Convenience: run(cell(platform, query, nproc, trials)).
   [[nodiscard]] RunResult run(perf::Platform platform, tpch::QueryId query,
                               u32 nproc, u32 trials = 4);
 
   /// Heterogeneous multiprogramming: one process per entry of `mix`, each
   /// running its own query concurrently (Section 4's "different query
   /// processes" reading). Runs as one cell through run_cells' trial tasks
-  /// at this runner's scale, seed and sampling. Returns per-process results
-  /// in mix order, each averaged over its own trials; a sampled result
-  /// carries the machine-wide half-widths (the sampler cannot split a
-  /// heterogeneous mix's spread by process).
+  /// at this runner's scale, seed, checker and sampling. Returns
+  /// per-process results in mix order, each averaged over its own trials; a
+  /// sampled result carries the machine-wide half-widths (the sampler cannot
+  /// split a heterogeneous mix's spread by process).
   [[nodiscard]] std::vector<RunResult> run_mix(
       perf::Platform platform, const std::vector<tpch::QueryId>& mix,
       u32 trials = 4);
@@ -233,7 +246,7 @@ class ExperimentRunner {
                                         u32 first, u32 count);
 
   /// Append one cell to the metrics document, when export is enabled. The
-  /// variant is `label` plus any overrides `cfg` carries.
+  /// variant is `label`, else the names of any overrides `cfg` carries.
   void record(const ExperimentConfig& cfg, tpch::QueryId query,
               std::string label, const RunResult& r);
 
@@ -243,6 +256,7 @@ class ExperimentRunner {
   u64 seed_;
   u32 jobs_;
   sim::SampleSchedule sample_;  ///< runner-wide default, see set_sampling()
+  bool check_ = false;          ///< see set_check()
   std::unique_ptr<db::Database> dbase_;
   std::unique_ptr<ThreadPool> pool_;  ///< lazily created, sized to jobs_
   std::unique_ptr<MetricsDoc> export_;  ///< set by set_metrics_export

@@ -1,5 +1,6 @@
 #include "core/metrics.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,8 @@
 #include <ostream>
 #include <string_view>
 #include <thread>
+#include <variant>
+#include <vector>
 
 namespace dss::core {
 
@@ -23,19 +26,74 @@ void print_figure(std::ostream& os, const std::string& title,
 
 namespace {
 
-constexpr const char* kBenchUsage =
-    "[--scale N] [--trials N] [--seed N] [--jobs N] [--shards N] [--check] "
-    "[--metrics PATH] [--sample-units N] [--sample-detail K] "
-    "[--sample-warmup W] [--live-points DIR] [--sessions N] "
-    "[--arrival closed|open|both] [--think-time MS] [--target-load F] "
-    "[--cpus N,N,...] [--epoch-records N]";
+/// A field of BenchOptions a flag writes; its type is the flag's value kind.
+using Field =
+    std::variant<bool BenchOptions::*, u32 BenchOptions::*,
+                 u64 BenchOptions::*, double BenchOptions::*,
+                 std::string BenchOptions::*, std::vector<u32> BenchOptions::*>;
+
+struct FlagSpec {
+  std::string_view name;
+  std::string_view value;  ///< the value's placeholder; empty for a switch
+  Field field;
+  u64 min;  ///< smallest accepted integer value
+  std::string_view help;
+};
+
+/// The one flag table; entry i is the flag with bit 1 << i.
+const FlagSpec kFlagTable[kNumFlags] = {
+    {"--scale", "N", &BenchOptions::scale_denom, 1,
+     "memory scale: 1/N of the paper's 200 MB database (default 16)"},
+    {"--trials", "N", &BenchOptions::trials, 1,
+     "trials per cell, each with its own start jitter (default 4)"},
+    {"--seed", "N", &BenchOptions::seed, 0,
+     "database and trial-jitter seed (default 42)"},
+    {"--jobs", "N", &BenchOptions::jobs, 0,
+     "worker threads, 0 = one per hardware thread (the default)"},
+    {"--check", "", &BenchOptions::check, 0,
+     "run every trial under the coherence-invariant checker"},
+    {"--metrics", "PATH", &BenchOptions::metrics_path, 0,
+     "write every cell as one JSON document (tools/dss_report)"},
+    {"--sample-units", "N", &BenchOptions::sample_units, 0,
+     "sampling: references per unit (0 = full detail, the default)"},
+    {"--sample-detail", "K", &BenchOptions::sample_detail, 0,
+     "sampling: every K-th unit is a measured window (K >= 2)"},
+    {"--sample-warmup", "W", &BenchOptions::sample_warmup, 0,
+     "sampling: detailed, unmeasured references before a window"},
+    {"--live-points", "DIR", &BenchOptions::live_points, 0,
+     "sampled replay: checkpoint the warmed state in DIR"},
+    {"--sessions", "N", &BenchOptions::sessions, 0,
+     "serving: client population (default 256)"},
+    {"--arrival", "closed|open|both", &BenchOptions::arrival, 0,
+     "serving: the arrival models to run (default both)"},
+    {"--think-time", "MS", &BenchOptions::think_time_ms, 0,
+     "serving, closed loop: mean think time, simulated ms (default 50)"},
+    {"--target-load", "F", &BenchOptions::target_load, 0,
+     "serving, open loop: one load, a fraction of capacity (default: sweep)"},
+    {"--cpus", "N,N,...", &BenchOptions::cpus, 1,
+     "serving: simulated CPU counts to sweep (default 8,16,32)"},
+    {"--epoch-records", "N", &BenchOptions::epoch_records, 0,
+     "replay: scheduling-epoch length in records (default: epochs off)"},
+};
+
+/// "--name VALUE", or just "--name" for a switch.
+std::string synopsis(const FlagSpec& spec) {
+  std::string out(spec.name);
+  if (!spec.value.empty()) (out += ' ') += spec.value;
+  return out;
+}
+
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
 
 /// Print `msg` and the usage line to stderr, then exit 2: a bad command line
 /// is a usage error, never an uncaught exception.
-[[noreturn]] void usage_error(const std::string& bench,
+[[noreturn]] void usage_error(const std::string& command, FlagSet accepted,
                               const std::string& msg) {
-  std::cerr << bench << ": " << msg << "\n"
-            << "usage: " << bench << " " << kBenchUsage << "\n";
+  std::cerr << command << ": " << msg << "\n"
+            << "usage: " << command << flags_usage(accepted) << "\n";
   std::exit(2);
 }
 
@@ -64,140 +122,119 @@ std::optional<double> parse_nonneg(std::string_view text) {
   return v;
 }
 
-BenchOptions parse_bench_options(int argc, char** argv) {
-  BenchOptions o;
-  if (argc > 0) {
-    const std::string path = argv[0];
-    const std::size_t slash = path.find_last_of('/');
-    o.bench_name = slash == std::string::npos ? path : path.substr(slash + 1);
+std::string flags_usage(FlagSet flags) {
+  std::string out;
+  for (u32 f = 0; f < kNumFlags; ++f) {
+    if ((flags >> f & 1u) != 0) out += " [" + synopsis(kFlagTable[f]) + "]";
   }
-  const std::string& bench = o.bench_name;
+  return out;
+}
+
+void print_flags_help(std::ostream& os, FlagSet flags) {
+  for (u32 f = 0; f < kNumFlags; ++f) {
+    if ((flags >> f & 1u) == 0) continue;
+    std::string head = synopsis(kFlagTable[f]);
+    head.resize(std::max<std::size_t>(head.size() + 1, 24), ' ');
+    os << "  " << head << kFlagTable[f].help << '\n';
+  }
+}
+
+BenchOptions parse_bench_options(int argc, char** argv, FlagSet accepted) {
+  BenchOptions o;
+  std::string command = argc > 0 ? argv[0] : "bench";
+  command.erase(0, command.find_last_of('/') + 1);
+  o.bench_name = command.substr(command.find_last_of(' ') + 1);
+  auto fail = [&](const std::string& msg) {
+    usage_error(command, accepted, msg);
+  };
   bool jobs_given = false;
-  bool shards_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
+    u32 f = 0;
+    while (f < kNumFlags && kFlagTable[f].name != flag) ++f;
+    if (f == kNumFlags) fail("unknown option: " + flag);
+    if ((accepted >> f & 1u) == 0) {
+      fail(flag + " does not apply to " + o.bench_name);
+    }
+    const FlagSpec* spec = &kFlagTable[f];
+    jobs_given = jobs_given || (1u << f) == Flag::jobs;
     auto value = [&]() -> std::string_view {
-      if (i + 1 >= argc) usage_error(bench, flag + " requires a value");
+      if (i + 1 >= argc) fail(flag + " requires a value");
       return argv[++i];
     };
-    auto uint_value = [&](u64 min = 0, u64 max = UINT64_MAX) -> u64 {
+    auto uint_value = [&](u64 max) -> u64 {
       const std::string_view text = value();
-      const std::optional<u64> v = parse_uint(text, min, max);
+      const std::optional<u64> v = parse_uint(text, spec->min, max);
       if (!v) {
-        usage_error(bench, flag + " expects an integer in [" +
-                               std::to_string(min) + ", " +
-                               std::to_string(max) + "], got '" +
-                               std::string(text) + "'");
+        fail(flag + " expects an integer in [" + std::to_string(spec->min) +
+             ", " + std::to_string(max) + "], got '" + std::string(text) +
+             "'");
       }
       return *v;
     };
-    auto u32_value = [&](u64 min = 0) {
-      return static_cast<u32>(uint_value(min, UINT32_MAX));
-    };
-    auto double_value = [&]() -> double {
-      const std::string_view text = value();
-      const std::optional<double> v = parse_nonneg(text);
-      if (!v) {
-        usage_error(bench, flag + " expects a non-negative number, got '" +
-                               std::string(text) + "'");
-      }
-      return *v;
-    };
-    if (flag == "--scale") {
-      o.scale_denom = u32_value(1);
-    } else if (flag == "--trials") {
-      o.trials = u32_value(1);
-    } else if (flag == "--seed") {
-      o.seed = uint_value();
-    } else if (flag == "--jobs") {
-      o.jobs = u32_value();
-      jobs_given = true;
-    } else if (flag == "--shards") {
-      o.shards = u32_value();
-      shards_given = true;
-    } else if (flag == "--check") {
-      o.check = true;
-    } else if (flag == "--metrics") {
-      o.metrics_path = value();
-    } else if (flag == "--sample-units") {
-      o.sample_units = uint_value();
-    } else if (flag == "--sample-detail") {
-      o.sample_detail = u32_value();
-    } else if (flag == "--sample-warmup") {
-      o.sample_warmup = uint_value();
-    } else if (flag == "--live-points") {
-      o.live_points = value();
-    } else if (flag == "--sessions") {
-      o.sessions = u32_value();
-    } else if (flag == "--arrival") {
-      o.arrival = value();
-    } else if (flag == "--think-time") {
-      o.think_time_ms = double_value();
-    } else if (flag == "--target-load") {
-      o.target_load = double_value();
-    } else if (flag == "--cpus") {
-      const std::string_view list = value();
-      o.cpus.clear();
-      std::size_t pos = 0;
-      while (true) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        const std::optional<u64> v =
-            parse_uint(list.substr(pos, comma - pos), 1, UINT32_MAX);
-        if (!v) {
-          usage_error(bench,
-                      "--cpus expects a comma-separated list of integers "
-                      ">= 1, e.g. 8,16,32, got '" + std::string(list) + "'");
-        }
-        o.cpus.push_back(static_cast<u32>(*v));
-        if (comma == list.size()) break;
-        pos = comma + 1;
-      }
-    } else if (flag == "--epoch-records") {
-      o.epoch_records = uint_value();
-    } else {
-      usage_error(bench, "unknown option: " + flag);
-    }
+    std::visit(
+        Overloaded{
+            [&](bool BenchOptions::*m) { o.*m = true; },
+            [&](u32 BenchOptions::*m) {
+              o.*m = static_cast<u32>(uint_value(UINT32_MAX));
+            },
+            [&](u64 BenchOptions::*m) { o.*m = uint_value(UINT64_MAX); },
+            [&](double BenchOptions::*m) {
+              const std::string_view text = value();
+              const std::optional<double> v = parse_nonneg(text);
+              if (!v) {
+                fail(flag + " expects a non-negative number, got '" +
+                     std::string(text) + "'");
+              }
+              o.*m = *v;
+            },
+            [&](std::string BenchOptions::*m) { o.*m = value(); },
+            [&](std::vector<u32> BenchOptions::*m) {
+              const std::string_view list = value();
+              (o.*m).clear();
+              std::size_t pos = 0;
+              while (true) {
+                const std::size_t comma =
+                    std::min(list.find(',', pos), list.size());
+                const std::optional<u64> v = parse_uint(
+                    list.substr(pos, comma - pos), spec->min, UINT32_MAX);
+                if (!v) {
+                  fail(flag + " expects a comma-separated list of integers "
+                              ">= 1, e.g. 8,16,32, got '" +
+                       std::string(list) + "'");
+                }
+                (o.*m).push_back(static_cast<u32>(*v));
+                if (comma == list.size()) break;
+                pos = comma + 1;
+              }
+            }},
+        spec->field);
   }
   if (o.sample_units > 0 && o.sample_detail < 2) {
-    usage_error(bench,
-                "--sample-units requires --sample-detail >= 2 (every K-th "
-                "unit is measured; K = 1 is just a full-detail run)");
+    fail("--sample-units requires --sample-detail >= 2 (every K-th unit is "
+         "measured; K = 1 is just a full-detail run)");
+  }
+  if (!o.live_points.empty() && o.sample_units == 0) {
+    fail("--live-points needs a sampling schedule (--sample-units)");
   }
   if (o.arrival != "closed" && o.arrival != "open" && o.arrival != "both") {
-    usage_error(bench, "--arrival expects 'closed', 'open', or 'both'");
+    fail("--arrival expects 'closed', 'open', or 'both'");
   }
   if (o.sample_units > 0 && o.check) {
-    usage_error(bench,
-                "--check cannot be combined with sampling: the invariant "
-                "checker's counter-conservation identities do not hold "
-                "across the functional-warming path");
+    fail("--check cannot be combined with sampling: the invariant checker's "
+         "counter-conservation identities do not hold across the "
+         "functional-warming path");
   }
-  // Clamp thread-ish counts with a warning rather than erroring or silently
+  // Clamp the worker count with a warning rather than erroring or silently
   // oversubscribing. Warnings go to stderr so stdout tables and --metrics
   // JSON stay byte-identical across hosts and flag spellings.
   const u32 hw = std::max(1u, std::thread::hardware_concurrency());
-  if (jobs_given) {
-    if (o.jobs == 0) {
-      std::cerr << o.bench_name << ": warning: --jobs 0 means one worker per "
-                << "hardware thread; using " << hw << "\n";
-      o.jobs = hw;
-    } else if (o.jobs > hw) {
-      std::cerr << o.bench_name << ": warning: --jobs " << o.jobs
-                << " exceeds hardware concurrency; clamping to " << hw << "\n";
-      o.jobs = hw;
-    }
-  }
-  if (shards_given) {
-    if (o.shards == 0) {
-      std::cerr << o.bench_name << ": warning: --shards 0 is invalid; "
-                << "using 1\n";
-      o.shards = 1;
-    } else if (o.shards > hw) {
-      std::cerr << o.bench_name << ": warning: --shards " << o.shards
-                << " exceeds hardware concurrency; clamping to " << hw
-                << " (results are bit-identical at any shard count)\n";
-      o.shards = hw;
-    }
+  if (jobs_given && (o.jobs == 0 || o.jobs > hw)) {
+    std::cerr << o.bench_name << ": warning: --jobs " << o.jobs
+              << (o.jobs == 0 ? " means one worker per hardware thread"
+                              : " exceeds hardware concurrency")
+              << "; using " << hw << "\n";
+    o.jobs = hw;
   }
   return o;
 }

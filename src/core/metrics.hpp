@@ -1,4 +1,5 @@
-// Shared figure-building helpers for the bench binaries.
+// The `dss_bench` command line (flag table and strict parser) and the
+// figure-printing helpers the experiments share.
 #pragma once
 
 #include <iosfwd>
@@ -25,54 +26,33 @@ inline const std::vector<tpch::QueryId> kQueries = {
 void print_figure(std::ostream& os, const std::string& title,
                   const Table& table);
 
-/// Parse common bench options: --scale N (μ denominator), --trials N,
-/// --seed N, --jobs N (worker threads for trial/cell execution; 0 = one per
-/// hardware thread, the default), --shards N (intra-trial shard count for
-/// the replay core; no-op on the execution-driven fig binaries — see
-/// DESIGN.md "Sharded replay core" — and bit-identical at every value
-/// where it applies), --check (attach the runtime coherence invariant
-/// checker to every trial; observation-only, metrics unchanged),
-/// --metrics PATH (write every cell the binary runs as one schema-versioned
-/// JSON document; see core/run_export.hpp and tools/dss_report),
-/// --epoch-records N
-/// (scheduling-epoch length for replay-driven benches that default to
-/// epochs off).
-///
-/// Sampled simulation (DESIGN.md §12): --sample-units N (references per
-/// sampling unit; 0, the default, keeps every reference detailed),
-/// --sample-detail K (every K-th unit is a detailed measurement window;
-/// K >= 2 when sampling), --sample-warmup W (detailed-unmeasured references
-/// before each window), --live-points DIR (replay-driven benches only:
-/// checkpoint the warmed state at each window; exec-driven binaries warn
-/// and ignore it). Sampling is mutually exclusive with --check — the
-/// checker's counter-conservation identities do not hold across the
-/// functional-warming path.
-///
-/// Serving mode (DESIGN.md §13, BENCH_serving): --sessions N (client
-/// population / arrival-plan length), --arrival closed|open|both (which
-/// arrival models to run; default both), --think-time MS (closed loop:
-/// mean exponential think time, simulated ms), --target-load F (open loop:
-/// run one offered-load level instead of the preset sweep; load is a
-/// fraction of the calibrated saturated capacity), --cpus LIST
-/// (comma-separated simulated CPU counts to sweep, e.g. "8,16,32").
-/// Binaries without a serving mode simply ignore these fields.
-///
-/// Numbers parse strictly: the whole token, unsigned decimal, no overflow
-/// (--scale and --trials must be >= 1). An explicit `--jobs 0` or
-/// `--shards 0`, or a value above the host's hardware concurrency, is
-/// clamped with a warning on stderr (stdout and any --metrics JSON stay
-/// byte-identical). An unknown option, a missing or malformed value, or an
-/// inconsistent combination prints the problem and a usage line to stderr
-/// and exits with status 2.
+/// The bench command-line flags, one bit each, in the order of metrics.cpp's
+/// flag table (which holds each flag's name, value kind and help text). A
+/// FlagSet is the set one command accepts; any other flag is a usage error.
+using FlagSet = u32;
+struct Flag {
+  enum : FlagSet {
+    scale = 1u << 0, trials = 1u << 1, seed = 1u << 2, jobs = 1u << 3,
+    check = 1u << 4, metrics = 1u << 5, sample_units = 1u << 6,
+    sample_detail = 1u << 7, sample_warmup = 1u << 8, live_points = 1u << 9,
+    sessions = 1u << 10, arrival = 1u << 11, think_time = 1u << 12,
+    target_load = 1u << 13, cpus = 1u << 14, epoch_records = 1u << 15,
+  };
+};
+inline constexpr u32 kNumFlags = 16;
+inline constexpr FlagSet kAllFlags = (1u << kNumFlags) - 1;
+
+/// The parsed flags. What each one means is its help text in the flag table
+/// (`dss_bench <experiment> --help` prints it); sampling is DESIGN.md §12,
+/// serving §13.
 struct BenchOptions {
   u32 scale_denom = 16;
   u32 trials = 4;
   u64 seed = 42;
   u32 jobs = 0;        ///< 0 = hardware concurrency
-  u32 shards = 1;      ///< replay-core shard count (where supported)
   bool check = false;  ///< run trials under the invariant checker
   std::string metrics_path;  ///< empty = no export
-  std::string bench_name;    ///< argv[0] basename, labels the export
+  std::string bench_name;    ///< the command's name, labels the export
   u64 sample_units = 0;      ///< N: refs per sampling unit (0 = full detail)
   u32 sample_detail = 0;     ///< K: every K-th unit measured in detail
   u64 sample_warmup = 0;     ///< W: detailed-unmeasured refs before a window
@@ -89,14 +69,31 @@ struct BenchOptions {
   /// The sampling schedule these options describe (disabled when
   /// --sample-units was not given).
   [[nodiscard]] sim::SampleSchedule sample_schedule() const {
-    sim::SampleSchedule s;
-    s.unit_records = sample_units;
-    s.detail_every = sample_detail;
-    s.warmup_records = sample_warmup;
-    return s;
+    return {sample_units, sample_detail, sample_warmup};
   }
 };
-[[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv);
+
+/// Parse `argv[1..argc)` against the flags in `accepted`. `argv[0]` is the
+/// command as the usage line shows it (a directory prefix is dropped); its
+/// last word names the bench and labels the export, so `dss_bench fig3_cpi`
+/// exports as `fig3_cpi`.
+///
+/// Numbers parse strictly: the whole token, unsigned decimal, no overflow
+/// (--scale and --trials must be >= 1). An explicit `--jobs 0`, or a value
+/// above the host's hardware concurrency, is clamped with a warning on
+/// stderr (stdout and any --metrics JSON stay byte-identical). A flag
+/// outside `accepted`, an unknown option, a missing or malformed value, or
+/// an inconsistent combination prints the problem and a usage line to
+/// stderr and exits with status 2.
+[[nodiscard]] BenchOptions parse_bench_options(int argc, char** argv,
+                                               FlagSet accepted);
+
+/// The usage synopsis of `flags`, e.g. " [--scale N] [--trials N]" (empty
+/// for no flags; every entry starts with a space).
+[[nodiscard]] std::string flags_usage(FlagSet flags);
+
+/// One line per flag of `flags`: its name, value and help text.
+void print_flags_help(std::ostream& os, FlagSet flags);
 
 /// Parse the whole of `text` as a finite, non-negative decimal number: no
 /// sign, no trailing characters, no nan/inf. Empty on any violation. The

@@ -44,18 +44,18 @@ struct ExportCell {
   u32 nproc = 1;
   u32 trials = 1;
   /// Distinguishes ablation variants of the same (platform, query, nproc):
-  /// "" for stock runs, e.g. "machine_override", "spin_override", "mix[2]".
+  /// "" for stock runs, e.g. "l2=1 MiB", "backoff=spin", "mix[2]".
   std::string variant;
   bool check = false;
   RunResult result;
   /// Serving cells only (schema v4): the queueing-side numbers. `result`
   /// then holds the machine metrics at the serving operating point.
-  std::optional<ServingStats> serving;
+  std::optional<ServingStats> serving = std::nullopt;
 };
 
 /// Top-level document written by `--metrics`.
 struct MetricsDoc {
-  std::string bench;  ///< binary name (argv[0] basename)
+  std::string bench;  ///< experiment name (`dss_bench <name>`)
   u32 scale_denom = 16;
   u64 seed = 42;
   std::vector<ExportCell> cells;

@@ -13,7 +13,7 @@
 //      each level yields the mean per-query service time *and* the full
 //      machine metrics (CPI stack, miss-cause attribution) at that
 //      concurrency. Cells fan out over the runner's thread pool and are
-//      bit-identical at any --jobs / --shards.
+//      bit-identical at any --jobs.
 //   2. Serving — an event-driven queueing simulation in simulated cycles
 //      drives the sessions against `cpus` backends, with per-dispatch
 //      service times interpolated from the calibration ladder at the

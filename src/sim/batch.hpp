@@ -37,8 +37,8 @@
 // Scope: this core replays *recorded* streams. The execution-driven figure
 // trials (core/experiment) generate references online, with every stall
 // feeding back into scheduling decisions, and therefore cannot be
-// address-sharded without speculation — `--shards` on the fig binaries is
-// validated and documented as a no-op (DESIGN.md, "Sharded replay core").
+// address-sharded without speculation; the shard count is a ReplayOptions
+// setting of this core only (DESIGN.md, "Sharded replay core").
 #pragma once
 
 #include <functional>

@@ -32,8 +32,9 @@ InvariantChecker::~InvariantChecker() {
 
 void InvariantChecker::report(std::string what, u64 unit, u32 proc) {
   // Under a sharded replay, say which partition and merge window failed —
-  // `--shards N` hides which machine a violation happened on, and the
-  // epoch tells the debugger which window to re-run serially.
+  // with several shards the message alone does not say which machine a
+  // violation happened on, and the epoch tells the debugger which window
+  // to re-run serially.
   if (opts_.shard >= 0) {
     what = "shard " + std::to_string(opts_.shard) + ", epoch " +
            std::to_string(epoch_) + ": " + what;

@@ -2,6 +2,7 @@
 // parsing, and the figure-table plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -107,7 +108,7 @@ TEST(DeriveResult, AveragesCountsAndCombinesTrialHalfWidths) {
 TEST(BenchOptions, ParsesFlags) {
   const char* argv[] = {"bench", "--scale", "32", "--trials", "2",
                         "--seed", "99"};
-  const auto o = parse_bench_options(7, const_cast<char**>(argv));
+  const auto o = parse_bench_options(7, const_cast<char**>(argv), kAllFlags);
   EXPECT_EQ(o.scale_denom, 32u);
   EXPECT_EQ(o.trials, 2u);
   EXPECT_EQ(o.seed, 99u);
@@ -115,14 +116,15 @@ TEST(BenchOptions, ParsesFlags) {
 
 TEST(BenchOptions, DefaultsAndErrors) {
   const char* argv0[] = {"bench"};
-  const auto o = parse_bench_options(1, const_cast<char**>(argv0));
+  const auto o = parse_bench_options(1, const_cast<char**>(argv0), kAllFlags);
   EXPECT_EQ(o.scale_denom, 16u);
   EXPECT_EQ(o.trials, 4u);
   const char* bad[] = {"bench", "--wat"};
-  EXPECT_EXIT((void)parse_bench_options(2, const_cast<char**>(bad)),
+  EXPECT_EXIT((void)parse_bench_options(2, const_cast<char**>(bad), kAllFlags),
               testing::ExitedWithCode(2), "unknown option: --wat");
   const char* dangling[] = {"bench", "--scale"};
-  EXPECT_EXIT((void)parse_bench_options(2, const_cast<char**>(dangling)),
+  EXPECT_EXIT((void)parse_bench_options(2, const_cast<char**>(dangling),
+                                          kAllFlags),
               testing::ExitedWithCode(2), "--scale requires a value");
 }
 
@@ -131,7 +133,8 @@ void parse(std::vector<std::string> args) {
   args.insert(args.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
-  (void)parse_bench_options(static_cast<int>(argv.size()), argv.data());
+  (void)parse_bench_options(static_cast<int>(argv.size()), argv.data(),
+                            kAllFlags);
 }
 
 TEST(BenchOptionsDeathTest, EveryNumericFlagRejectsBadValuesWithUsage) {
@@ -148,9 +151,9 @@ TEST(BenchOptionsDeathTest, EveryNumericFlagRejectsBadValuesWithUsage) {
       {"--cpus", "4,x"},             {"--cpus", "4,"},
       {"--cpus", "4,0"},             {"--cpus", ""}};
   for (const char* flag :
-       {"--scale", "--trials", "--seed", "--jobs", "--shards",
-        "--sample-units", "--sample-detail", "--sample-warmup", "--sessions",
-        "--think-time", "--target-load", "--cpus", "--epoch-records"}) {
+       {"--scale", "--trials", "--seed", "--jobs", "--sample-units",
+        "--sample-detail", "--sample-warmup", "--sessions", "--think-time",
+        "--target-load", "--cpus", "--epoch-records"}) {
     cases.push_back({flag, "abc"});
     cases.push_back({flag});
     cases.push_back({flag, "-1"});
@@ -163,11 +166,59 @@ TEST(BenchOptionsDeathTest, EveryNumericFlagRejectsBadValuesWithUsage) {
   }
 }
 
+TEST(BenchOptions, FlagTableFollowsTheFlagOrder) {
+  // The table is indexed by Flag: each flag's synopsis names that flag.
+  EXPECT_EQ(flags_usage(kAllFlags),
+            " [--scale N] [--trials N] [--seed N] [--jobs N] [--check] "
+            "[--metrics PATH] [--sample-units N] [--sample-detail K] "
+            "[--sample-warmup W] [--live-points DIR] [--sessions N] "
+            "[--arrival closed|open|both] [--think-time MS] "
+            "[--target-load F] [--cpus N,N,...] [--epoch-records N]");
+  EXPECT_EQ(flags_usage(Flag::check | Flag::scale), " [--scale N] [--check]");
+  EXPECT_EQ(flags_usage(0), "");
+  std::ostringstream os;
+  print_flags_help(os, Flag::jobs);
+  const std::string help = os.str();
+  EXPECT_EQ(help.rfind("  --jobs N ", 0), 0u) << help;
+  EXPECT_EQ(std::count(help.begin(), help.end(), '\n'), 1);
+}
+
+TEST(BenchOptionsDeathTest, FlagOutsideTheAcceptedSetIsAUsageError) {
+  // Every flag, offered to a command that does not read it, exits 2 with
+  // the command's own usage line; the same flag is accepted once it is in
+  // the set. The command's last word names the bench.
+  const FlagSet accepted = Flag::seed | Flag::scale;
+  for (u32 f = 0; f < kNumFlags; ++f) {
+    const std::string synopsis = flags_usage(1u << f);  // " [--name ...]"
+    const std::string name =
+        synopsis.substr(2, synopsis.find_first_of(" ]", 2) - 2);
+    SCOPED_TRACE(name);
+    std::string cmd = "dss_bench demo";
+    std::string arg = name;
+    char* argv[] = {cmd.data(), arg.data()};
+    EXPECT_EXIT((void)parse_bench_options(2, argv, accepted),
+                testing::ExitedWithCode(2),
+                (accepted >> f & 1u) != 0
+                    ? "requires a value"
+                    : name + " does not apply to demo\n"
+                             "usage: dss_bench demo \\[--scale N\\] "
+                             "\\[--seed N\\]\n");
+  }
+  char cmd[] = "dss_bench demo";
+  char* bare[] = {cmd};
+  EXPECT_EQ(parse_bench_options(1, bare, 0).bench_name, "demo");
+  char shards[] = "--shards";
+  char* gone[] = {cmd, shards};
+  EXPECT_EXIT((void)parse_bench_options(2, gone, kAllFlags),
+              testing::ExitedWithCode(2),
+              "unknown option: --shards");
+}
+
 TEST(BenchOptions, AcceptsBoundaryValues) {
   const char* argv[] = {"bench",      "--seed",        "18446744073709551615",
                         "--sessions", "4294967295",    "--think-time",
                         "0.5",        "--cpus",        "1,32"};
-  const auto o = parse_bench_options(9, const_cast<char**>(argv));
+  const auto o = parse_bench_options(9, const_cast<char**>(argv), kAllFlags);
   EXPECT_EQ(o.seed, UINT64_MAX);
   EXPECT_EQ(o.sessions, UINT32_MAX);
   EXPECT_DOUBLE_EQ(o.think_time_ms, 0.5);

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
+#include "core/run_export.hpp"
 
 namespace dss {
 namespace {
@@ -103,6 +105,56 @@ TEST(ParallelRunner, RunCellsKeepsInputOrderWhateverTheTaskOrder) {
     expect_identical(a[i], b[i]);
     expect_identical(serial.run(cfgs[i]), a[i]);
   }
+}
+
+TEST(ParallelRunner, RunCellsRethrowsAWorkerFailureAndStaysUsable) {
+  // A cell whose scale denominator is far above the runner's gets a buffer
+  // pool smaller than the runner's database, so prewarm throws on a worker.
+  // run_cells must rethrow that error instead of deadlocking, and the same
+  // runner must then match a fresh one.
+  ExperimentRunner runner(ScaleConfig{64}, 5, /*jobs=*/3);
+  std::vector<ExperimentConfig> cfgs = {
+      runner.cell(perf::Platform::Origin2000, tpch::QueryId::Q6, 1, 2),
+      runner.cell(perf::Platform::Origin2000, tpch::QueryId::Q12, 2, 2),
+      runner.cell(perf::Platform::VClass, tpch::QueryId::Q6, 2, 2)};
+  cfgs[1].scale = ScaleConfig{64 * 64};
+  EXPECT_THROW((void)runner.run_cells(cfgs), std::runtime_error);
+
+  cfgs[1].scale = ScaleConfig{64};
+  ExperimentRunner fresh(ScaleConfig{64}, 5, /*jobs=*/3);
+  const auto a = runner.run_cells(cfgs);
+  const auto b = fresh.run_cells(cfgs);
+  ASSERT_EQ(a.size(), cfgs.size());
+  ASSERT_EQ(b.size(), cfgs.size());
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(a[i], b[i]);
+  }
+}
+
+TEST(ParallelRunner, CellStampsTheRunnersSettings) {
+  // cell() is the one place a cell gets the runner's scale, seed and
+  // checker setting; run() and run_mix() go through it too.
+  ExperimentRunner runner(ScaleConfig{64}, 7, /*jobs=*/1);
+  const ExperimentConfig plain =
+      runner.cell(perf::Platform::VClass, tpch::QueryId::Q21, 4, 3);
+  EXPECT_EQ(plain.scale.denom, 64u);
+  EXPECT_EQ(plain.seed, 7u);
+  EXPECT_EQ(plain.trials, 3u);
+  EXPECT_EQ(plain.nproc, 4u);
+  EXPECT_FALSE(plain.check);
+  runner.set_check(true);
+  EXPECT_TRUE(
+      runner.cell(perf::Platform::VClass, tpch::QueryId::Q21, 4, 3).check);
+
+  runner.set_metrics_export("cell_test",
+                            testing::TempDir() + "cell_test_metrics.json");
+  (void)runner.run(perf::Platform::Origin2000, tpch::QueryId::Q6, 1, 1);
+  (void)runner.run_mix(perf::Platform::Origin2000,
+                       {tpch::QueryId::Q6, tpch::QueryId::Q12}, 1);
+  ASSERT_NE(runner.metrics_doc(), nullptr);
+  ASSERT_EQ(runner.metrics_doc()->cells.size(), 3u);
+  for (const auto& c : runner.metrics_doc()->cells) EXPECT_TRUE(c.check);
 }
 
 TEST(ParallelRunner, SetJobsDoesNotChangeResults) {

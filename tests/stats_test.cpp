@@ -140,7 +140,7 @@ TEST(StratifiedMean, ZeroWeightStrataIgnored) {
 
 TEST(EstimateMean, BitwiseDeterministicAcrossCallOrder) {
   // The estimators are pure functions of their input vector: however the
-  // per-window samples were produced (any --jobs / --shards split), equal
+  // per-window samples were produced (any --jobs / shard-count split), equal
   // inputs must give bit-identical estimates. Simulate "collected in a
   // different schedule" by rebuilding the same vector through a different
   // interleaving and compare exactly.
