@@ -67,11 +67,7 @@ int BENCH_refstream(const core::BenchOptions& opts) {
     std::cout << "(sampled replay: N=" << sched.unit_records << " K="
               << sched.detail_every << " W=" << sched.warmup_records
               << ", detail fraction "
-              << Table::num(100.0 * sched.detail_fraction(), 2) << "%"
-              << (opts.live_points.empty()
-                      ? ""
-                      : (", live points in " + opts.live_points).c_str())
-              << ")\n";
+              << Table::num(100.0 * sched.detail_fraction(), 2) << "%)\n";
   }
 
   const std::vector<std::pair<perf::Platform, sim::MachineConfig>> machines = {
@@ -101,7 +97,6 @@ int BENCH_refstream(const core::BenchOptions& opts) {
           so.shards = shards;
           so.pool = pool.get();
           so.compile_cache = &compile_cache;
-          so.live_point_dir = opts.live_points;
           cell.counters =
               sim::sample_replay(cfg, recs, sched, so, &cell.sample);
         } else {
@@ -139,11 +134,10 @@ int BENCH_refstream(const core::BenchOptions& opts) {
   }
   core::print_figure(std::cout, "BENCH_refstream replay counters", t);
   if (sched.enabled() && !cells.empty()) {
-    u64 total = 0, detailed = 0, restored = 0;
+    u64 total = 0, detailed = 0;
     for (const Cell& c : cells) {
       total += c.sample.total_refs;
       detailed += c.sample.detailed_refs;
-      restored += c.sample.live_point_restored ? 1 : 0;
     }
     std::cout << "sampled: " << detailed << " of " << total
               << " refs detailed ("
@@ -151,8 +145,7 @@ int BENCH_refstream(const core::BenchOptions& opts) {
                                                static_cast<double>(detailed)
                                          : 0.0,
                             1)
-              << "x fewer), " << restored << "/" << cells.size()
-              << " cells restored from live points\n\n";
+              << "x fewer)\n\n";
   }
 
   std::vector<core::ExportCell> exported;

@@ -33,8 +33,7 @@ constexpr core::FlagSet kRunner =
     Flag::sample_warmup;
 constexpr core::FlagSet kReplay =
     Flag::scale | Flag::seed | Flag::jobs | Flag::metrics | Flag::sample_units |
-    Flag::sample_detail | Flag::sample_warmup | Flag::live_points |
-    Flag::epoch_records;
+    Flag::sample_detail | Flag::sample_warmup | Flag::epoch_records;
 constexpr core::FlagSet kServing =
     Flag::scale | Flag::trials | Flag::seed | Flag::jobs | Flag::metrics |
     Flag::sessions | Flag::arrival | Flag::think_time | Flag::target_load |

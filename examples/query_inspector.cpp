@@ -5,6 +5,7 @@
 //   query_inspector [Q6|Q21|Q12] [vclass|origin]
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -20,7 +21,15 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "origin") == 0) {
       platform = perf::Platform::Origin2000;
     } else {
-      query = tpch::query_from_name(argv[i]);
+      try {
+        query = tpch::query_from_name(argv[i]);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr,
+                     "%s\nusage: query_inspector [Q6|Q21|Q12] "
+                     "[vclass|origin]\n",
+                     e.what());
+        return 2;
+      }
     }
   }
 

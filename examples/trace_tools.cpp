@@ -5,6 +5,7 @@
 //   trace_tools [Q6|Q21|Q12] [trace-file]
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.hpp"
@@ -18,7 +19,14 @@ int main(int argc, char** argv) {
   std::string path = "/tmp/dss_query.trace";
   for (int i = 1; i < argc; ++i) {
     if (argv[i][0] == 'Q' || argv[i][0] == 'q') {
-      query = tpch::query_from_name(argv[i]);
+      try {
+        query = tpch::query_from_name(argv[i]);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr,
+                     "%s\nusage: trace_tools [Q6|Q21|Q12] [trace-file]\n",
+                     e.what());
+        return 2;
+      }
     } else {
       path = argv[i];
     }

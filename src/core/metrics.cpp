@@ -60,8 +60,6 @@ const FlagSpec kFlagTable[kNumFlags] = {
      "sampling: every K-th unit is a measured window (K >= 2)"},
     {"--sample-warmup", "W", &BenchOptions::sample_warmup, 0,
      "sampling: detailed, unmeasured references before a window"},
-    {"--live-points", "DIR", &BenchOptions::live_points, 0,
-     "sampled replay: checkpoint the warmed state in DIR"},
     {"--sessions", "N", &BenchOptions::sessions, 0,
      "serving: client population (default 256)"},
     {"--arrival", "closed|open|both", &BenchOptions::arrival, 0,
@@ -213,9 +211,6 @@ BenchOptions parse_bench_options(int argc, char** argv, FlagSet accepted) {
   if (o.sample_units > 0 && o.sample_detail < 2) {
     fail("--sample-units requires --sample-detail >= 2 (every K-th unit is "
          "measured; K = 1 is just a full-detail run)");
-  }
-  if (!o.live_points.empty() && o.sample_units == 0) {
-    fail("--live-points needs a sampling schedule (--sample-units)");
   }
   if (o.arrival != "closed" && o.arrival != "open" && o.arrival != "both") {
     fail("--arrival expects 'closed', 'open', or 'both'");

@@ -34,12 +34,12 @@ struct Flag {
   enum : FlagSet {
     scale = 1u << 0, trials = 1u << 1, seed = 1u << 2, jobs = 1u << 3,
     check = 1u << 4, metrics = 1u << 5, sample_units = 1u << 6,
-    sample_detail = 1u << 7, sample_warmup = 1u << 8, live_points = 1u << 9,
-    sessions = 1u << 10, arrival = 1u << 11, think_time = 1u << 12,
-    target_load = 1u << 13, cpus = 1u << 14, epoch_records = 1u << 15,
+    sample_detail = 1u << 7, sample_warmup = 1u << 8, sessions = 1u << 9,
+    arrival = 1u << 10, think_time = 1u << 11, target_load = 1u << 12,
+    cpus = 1u << 13, epoch_records = 1u << 14,
   };
 };
-inline constexpr u32 kNumFlags = 16;
+inline constexpr u32 kNumFlags = 15;
 inline constexpr FlagSet kAllFlags = (1u << kNumFlags) - 1;
 
 /// The parsed flags. What each one means is its help text in the flag table
@@ -56,7 +56,6 @@ struct BenchOptions {
   u64 sample_units = 0;      ///< N: refs per sampling unit (0 = full detail)
   u32 sample_detail = 0;     ///< K: every K-th unit measured in detail
   u64 sample_warmup = 0;     ///< W: detailed-unmeasured refs before a window
-  std::string live_points;   ///< checkpoint dir (replay-driven benches)
   u32 sessions = 256;        ///< serving: client population
   std::string arrival = "both";     ///< serving: "closed" | "open" | "both"
   double think_time_ms = 50.0;      ///< serving, closed loop: mean think

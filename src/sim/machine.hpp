@@ -158,7 +158,6 @@ class LineHist {
   }
 
  private:
-  friend class LivePointAccess;
   /// [0] = seen bits, [1] = last-removal-was-invalidation bits.
   DSS_SHARD_PARTITIONED util::FlatMap<std::array<u64, 2>> blocks_;
 };
@@ -172,8 +171,7 @@ struct BatchRef {
   u32 len_kind;  ///< (len << 2) | AccessKind
 };
 
-class RefSampler;       // sim/sample/sampler.hpp
-class LivePointAccess;  // sim/sample/livepoint.cpp (serializer backdoor)
+class RefSampler;  // sim/sample/sampler.hpp
 
 class MachineSim {
  public:
@@ -389,8 +387,6 @@ class MachineSim {
   /// Record one last-level miss's cause + object class into `c`.
   void record_ll_miss(perf::Counters& c, perf::MissCause cause,
                       SimAddr byte_addr);
-
-  friend class LivePointAccess;
 
   DSS_REPLAY_SAFE MachineConfig cfg_;
   DSS_REPLAY_SAFE Interconnect net_;  ///< immutable topology + latencies

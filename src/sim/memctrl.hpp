@@ -99,8 +99,6 @@ class MemCtrl {
   [[nodiscard]] u32 occupancy() const { return occupancy_; }
 
  private:
-  friend class LivePointAccess;  // sim/sample/livepoint.cpp (serializer)
-
   [[nodiscard]] u64 queue_delay(u32 home) const;
   /// Refresh `delay_memo_` from the current rate estimate; called whenever
   /// `prev_count_` or `epoch_cycles_` changes.

@@ -8,7 +8,6 @@
 
 #include "sim/machine.hpp"
 #include "sim/sample/counter_fields.hpp"
-#include "sim/sample/livepoint.hpp"
 
 namespace dss::sim {
 
@@ -50,13 +49,6 @@ struct Seg {
   u32 window;      ///< measurement-window index (kMeasured only)
   std::size_t lo;  ///< [lo, hi) into the shard's refs
   std::size_t hi;
-};
-
-/// A shard's work list: the pure-warm prefix (checkpointable), then the
-/// phase-partitioned remainder.
-struct ShardWork {
-  std::size_t prefix = 0;  ///< refs before the live-point position
-  std::vector<Seg> segs;
 };
 
 /// Per-shard per-window accumulators, summed across shards after every
@@ -149,16 +141,6 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   const CompiledTrace& ct = cached != nullptr ? *cached : local;
   const u64 total_refs = ct.refs.size();
 
-  // The pure-warm prefix: every ref before the first detailed one (the
-  // warmup ramp of the first measured unit). This is the live-point
-  // position — all schedule periods beyond the first interleave phases.
-  const u64 first_detail =
-      static_cast<u64>(sched.detail_every - 1) * sched.unit_records;
-  u64 prefix_end =
-      first_detail > sched.warmup_records ? first_detail - sched.warmup_records
-                                          : 0;
-  prefix_end = std::min(prefix_end, total_refs);
-
   const u64 units = sched.unit_records == 0
                         ? 0
                         : (total_refs + sched.unit_records - 1) /
@@ -196,27 +178,21 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   // same-phase segments at the per-shard cut snapshots, in stream order.
   ThreadPool* pool = S > 1 ? opts.pool : nullptr;
   const std::vector<ShardPlan> plans = route_shards(ct, S, cuts, pool);
-  std::vector<ShardWork> work(S);
+  std::vector<std::vector<Seg>> work(S);
   for (u32 s = 0; s < S; ++s) {
-    ShardWork& w = work[s];
+    std::vector<Seg>& segs = work[s];
     const std::vector<std::size_t>& cut_end = plans[s].cut_end;
     for (std::size_t k = 0; k < runs.size(); ++k) {
       const std::size_t lo = k == 0 ? 0 : cut_end[k - 1];
       const std::size_t hi = cut_end[k];
-      if (runs[k].hi <= prefix_end) {
-        assert(runs[k].phase == Ph::kWarm);
-        w.prefix = hi;
-        continue;
-      }
       if (lo == hi) continue;
       const Ph ph = runs[k].phase;
       const u32 win = runs[k].window;
-      if (!w.segs.empty() && w.segs.back().hi == lo &&
-          w.segs.back().phase == ph &&
-          (ph != Ph::kMeasured || w.segs.back().window == win)) {
-        w.segs.back().hi = hi;
+      if (!segs.empty() && segs.back().hi == lo && segs.back().phase == ph &&
+          (ph != Ph::kMeasured || segs.back().window == win)) {
+        segs.back().hi = hi;
       } else {
-        w.segs.push_back(Seg{ph, win, lo, hi});
+        segs.push_back(Seg{ph, win, lo, hi});
       }
     }
   }
@@ -226,50 +202,22 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   MachineConfig shard_cfg = cfg;
   shard_cfg.tlb_entries = 0;
   std::vector<std::unique_ptr<MachineSim>> machines;
-  std::vector<MachineSim*> machine_ptrs;
   machines.reserve(S);
   std::vector<std::vector<perf::Counters>> shard_ctr(S);
   for (u32 s = 0; s < S; ++s) {
     machines.push_back(std::make_unique<MachineSim>(shard_cfg));
     machines[s]->set_attribution(opts.attribution);
     shard_ctr[s].assign(nproc, perf::Counters{});
-    machine_ptrs.push_back(machines[s].get());
   }
 
-  // Live point: restore the warm prefix if a matching checkpoint exists,
-  // otherwise warm through (in parallel) and checkpoint for the next cell.
-  bool lp_restored = false;
-  bool lp_saved = false;
-  const bool lp_enabled = !opts.live_point_dir.empty() && prefix_end > 0;
-  u64 digest = 0;
-  std::string lp_path;
-  if (lp_enabled) {
-    digest = livepoint_digest(cfg, trace_content_hash(records), prefix_end);
-    lp_path = live_point_path(opts.live_point_dir, digest);
-    std::string err;
-    lp_restored =
-        restore_live_point(lp_path, machine_ptrs, digest, prefix_end, &err);
-  }
-  if (!lp_restored) {
-    parallel_for_index(pool, S, [&](u64 s) {
-      const ShardWork& w = work[s];
-      if (w.prefix > 0) machines[s]->warm_batch(plans[s].base, w.prefix);
-    });
-    if (lp_enabled) {
-      lp_saved = save_live_point(lp_path, machine_ptrs, digest, prefix_end);
-    }
-  }
-
-  // Detailed/warm interleave past the prefix. Counters are attached only
-  // for measurement windows, so each shard's blocks end up holding exactly
-  // the measured sums; detailed-warmup traffic drains into the machine's
-  // scratch sink.
+  // Warm/detailed interleave. Counters are attached only for measurement
+  // windows, so each shard's blocks end up holding exactly the measured
+  // sums; detailed-warmup traffic drains into the machine's scratch sink.
   std::vector<WindowSums> sums(S, WindowSums(windows));
   parallel_for_index(pool, S, [&](u64 s) {
     MachineSim& m = *machines[s];
-    const ShardWork& w = work[s];
     std::vector<perf::Counters> snap(nproc);
-    for (const Seg& seg : w.segs) {
+    for (const Seg& seg : work[s]) {
       const BatchRef* refs = plans[s].base + seg.lo;
       const std::size_t n = seg.hi - seg.lo;
       switch (seg.phase) {
@@ -344,9 +292,6 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   st.measured_refs = measured_refs;
   st.windows = windows;
   st.shards_used = S;
-  st.live_point_restored = lp_restored;
-  st.live_point_saved = lp_saved;
-  st.live_point_refs = lp_enabled ? prefix_end : 0;
   st.stall_per_ref = stratified_mean(stall_rate, w_refs);
   st.l1_per_ref = stratified_mean(l1_rate, w_refs);
   st.l2_per_ref = stratified_mean(l2_rate, w_refs);

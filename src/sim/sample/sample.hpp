@@ -15,14 +15,8 @@
 // same contract as replay_batched. The memory-controller contention model is
 // forced off (epoch accounting needs the full detailed stream; sampled runs
 // trade it away, which full-detail goldens quantify).
-//
-// Live points: with `live_point_dir` set, the pure-warm prefix before the
-// first detailed ref is checkpointed (sim/sample/livepoint.hpp) — the first
-// run warms and saves, subsequent runs with a matching functional digest
-// restore in O(state) and produce bit-identical results to warming through.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "perf/counters.hpp"
@@ -41,10 +35,6 @@ struct SampleReplayOptions {
   ThreadPool* pool = nullptr;
   /// As ReplayOptions::compile_cache.
   TraceCompileCache* compile_cache = nullptr;
-  /// Directory for live-point checkpoints; empty disables them. The
-  /// directory must exist; an unreadable or mismatched file falls back to
-  /// warming through (and re-saving).
-  std::string live_point_dir;
 };
 
 /// Reference accounting and per-metric estimates of one sampled replay: the
@@ -53,10 +43,7 @@ struct SampleReplayOptions {
 struct SampleReplayStats : ExecSampleSummary {
   u64 records = 0;  ///< input trace records
   u32 shards_used = 1;
-  bool live_point_restored = false;  ///< warm prefix came from a checkpoint
-  bool live_point_saved = false;     ///< warm prefix was checkpointed
-  u64 live_point_refs = 0;           ///< refs covered by the live point
-  Estimate cpi;                      ///< machine-wide cycles per instruction
+  Estimate cpi;  ///< machine-wide cycles per instruction
 };
 
 /// Sampled replay of `records` under `sched`. Returns merged per-processor

@@ -171,7 +171,7 @@ TEST(BenchOptions, FlagTableFollowsTheFlagOrder) {
   EXPECT_EQ(flags_usage(kAllFlags),
             " [--scale N] [--trials N] [--seed N] [--jobs N] [--check] "
             "[--metrics PATH] [--sample-units N] [--sample-detail K] "
-            "[--sample-warmup W] [--live-points DIR] [--sessions N] "
+            "[--sample-warmup W] [--sessions N] "
             "[--arrival closed|open|both] [--think-time MS] "
             "[--target-load F] [--cpus N,N,...] [--epoch-records N]");
   EXPECT_EQ(flags_usage(Flag::check | Flag::scale), " [--scale N] [--check]");

@@ -1,18 +1,14 @@
-// Sampled simulation (DESIGN.md §12): the sampled replay driver, live-point
-// checkpoints, and the execution-driven sampling path through the
-// experiment runner.
+// Sampled simulation (DESIGN.md §12): the sampled replay driver and the
+// execution-driven sampling path through the experiment runner.
 //
 // Contracts under test:
 //   - a disabled schedule degrades sample_replay to exact replay_batched;
 //   - sampled results are bit-identical across shard counts and pools;
 //   - sampled estimates land near full-detail truth at a large reduction
 //     in detailed references;
-//   - restoring a live point then continuing is bit-identical to warming
-//     through from the start;
 //   - the runner's sampled trials produce estimates, CIs and accounting.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -127,41 +123,6 @@ TEST(SampleReplay, EstimatesNearFullDetailAtLargeReduction) {
   u64 sampled_instr = 0;
   for (const auto& c : sampled) sampled_instr += c.instructions;
   EXPECT_EQ(sampled_instr, full_instr);
-}
-
-TEST(SampleReplay, LivePointRestoreBitIdenticalToWarmThrough) {
-  const auto recs = test_stream(RefPattern::kHotProbe, 60'000);
-  const MachineConfig cfg = origin2000().scaled(64);
-  SampleSchedule sched;
-  sched.unit_records = 1000;
-  sched.detail_every = 10;
-  sched.warmup_records = 1000;
-
-  const auto dir = std::filesystem::path(testing::TempDir()) / "dss_lp_test";
-  std::filesystem::create_directories(dir);
-
-  SampleReplayOptions lp;
-  lp.live_point_dir = dir.string();
-  SampleReplayStats first;
-  const auto warmed = sample_replay(cfg, recs, sched, lp, &first);
-  EXPECT_FALSE(first.live_point_restored);
-  EXPECT_TRUE(first.live_point_saved);
-  EXPECT_GT(first.live_point_refs, 0u);
-
-  SampleReplayStats second;
-  const auto restored = sample_replay(cfg, recs, sched, lp, &second);
-  EXPECT_TRUE(second.live_point_restored);
-
-  expect_counters_identical(warmed, restored);
-  EXPECT_EQ(first.detailed_refs, second.detailed_refs);
-  EXPECT_DOUBLE_EQ(first.cpi.mean, second.cpi.mean);
-
-  // And both match a run that never touched a checkpoint.
-  SampleReplayStats plain;
-  const auto through = sample_replay(cfg, recs, sched, {}, &plain);
-  expect_counters_identical(warmed, through);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ExecSampling, SamplerPhasesFollowTheSchedule) {

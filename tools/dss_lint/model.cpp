@@ -499,12 +499,8 @@ class Parser {
 
       const bool qualified =
           is_punct(prev, ".") || is_punct(prev, "->") || is_punct(prev, "::");
-      if (s.size() > 1 && s.back() == '_') {
-        if (!qualified) {
-          fn.touches.push_back({s, t.line});
-        } else if (is_punct(prev, ".") || is_punct(prev, "->")) {
-          fn.qualified_touches.push_back({s, t.line});
-        }
+      if (s.size() > 1 && s.back() == '_' && !qualified) {
+        fn.touches.push_back({s, t.line});
       }
       const bool calls = is_punct(next, "(") ||
                          (is_punct(next, "<") && template_call_ahead(i_ + 1));

@@ -77,12 +77,6 @@ struct FunctionModel {
   bool replay_safe = false;  ///< DSS_REPLAY_SAFE on the definition
   std::vector<CallSite> calls;
   std::vector<MemberTouch> touches;
-  /// Trailing-underscore identifiers behind a `.` or `->` — reads/writes of
-  /// ANOTHER object's members (friend serializers, merge loops). Not used by
-  /// shard-safety (which resolves against the enclosing class) but required
-  /// by the checkpoint-field rule, whose serializer reaches into the
-  /// simulator classes from outside.
-  std::vector<MemberTouch> qualified_touches;
   std::vector<AllocSite> allocs;
   std::vector<IterSite> iters;
 };

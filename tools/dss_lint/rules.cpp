@@ -20,27 +20,17 @@ constexpr const char* kStaticState = "static-state";
 constexpr const char* kHotAlloc = "hot-alloc";
 constexpr const char* kShardUnsafe = "shard-unsafe";
 constexpr const char* kAnnotationCoverage = "annotation-coverage";
-constexpr const char* kCheckpointField = "checkpoint-field";
 constexpr const char* kBadSuppression = "bad-suppression";
 
 [[nodiscard]] bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-/// A `// dss-lint: checkpoint-serializer(Class, ...)` directive: the file's
-/// functions (plus everything they reach) claim to serialize the full
-/// replay-mutable state of the named classes.
-struct CheckpointDirective {
-  u32 line = 0;
-  std::vector<std::string> classes;
-};
-
 /// Per-file analysis context derived from the comment stream.
 struct FileContext {
   std::string effective_path;  ///< `treat-as` override or the real path
   std::vector<u32> hot_marker_lines;
   std::vector<std::size_t> suppression_idx;  ///< into result.suppressions
-  std::vector<CheckpointDirective> checkpoint_directives;
 };
 
 [[nodiscard]] std::string trimmed(const std::string& s) {
@@ -85,11 +75,6 @@ const std::vector<Rule>& all_rules() {
       {kAnnotationCoverage,
        "class with shard-safety annotations has unannotated mutable data "
        "members — every member must declare its class"},
-      {kCheckpointField,
-       "a DSS_SHARD_PARTITIONED / DSS_EPOCH_MERGED member of a class named "
-       "in a `dss-lint: checkpoint-serializer(...)` directive is never "
-       "touched by the serializer's file (or anything it calls) — the "
-       "live-point format would silently drop that state"},
       {kBadSuppression,
        "malformed dss-lint control comment: unknown rule id, missing "
        "reason, or unknown directive (with --strict-suppressions, also a "
@@ -120,7 +105,6 @@ class Engine {
 
     for (std::size_t f = 0; f < files_.size(); ++f) per_file_rules(f);
     shard_safety();
-    checkpoint_fields();
     apply_suppressions();
     finalize();
     return std::move(result_);
@@ -178,32 +162,6 @@ class Engine {
           continue;
         }
         ctx.effective_path = trimmed(body.substr(9, close - 9));
-      } else if (starts_with(body, "checkpoint-serializer(")) {
-        const std::size_t close = body.find(')');
-        if (close == std::string::npos) {
-          report(kBadSuppression, fm.path, c.line,
-                 "unterminated checkpoint-serializer(");
-          continue;
-        }
-        CheckpointDirective d;
-        d.line = c.line;
-        std::string list = body.substr(22, close - 22);
-        std::size_t start = 0;
-        while (start <= list.size()) {
-          const std::size_t comma = list.find(',', start);
-          const std::string name = trimmed(
-              comma == std::string::npos ? list.substr(start)
-                                         : list.substr(start, comma - start));
-          if (!name.empty()) d.classes.push_back(name);
-          if (comma == std::string::npos) break;
-          start = comma + 1;
-        }
-        if (d.classes.empty()) {
-          report(kBadSuppression, fm.path, c.line,
-                 "checkpoint-serializer() names no classes");
-          continue;
-        }
-        ctx.checkpoint_directives.push_back(std::move(d));
       } else {
         report(kBadSuppression, fm.path, c.line,
                "unknown dss-lint directive `" + body + "`");
@@ -359,92 +317,6 @@ class Engine {
         if (it == by_name.end()) continue;
         for (const FnRef& r : it->second) {
           if (visited.insert(r).second) queue.push_back(r);
-        }
-      }
-    }
-  }
-
-  // --- checkpoint-field coverage ------------------------------------------
-
-  /// For each `checkpoint-serializer(Class, ...)` directive: every
-  /// DSS_SHARD_PARTITIONED / DSS_EPOCH_MERGED member of the named classes
-  /// must be touched somewhere in the directive's file or in a function it
-  /// (transitively) calls. Touches count both forms — unqualified (inside
-  /// the owning class) and qualified (`obj.member_`, the friend-serializer
-  /// shape) — so state reached through an accessor like `insert()` or
-  /// `recompute_delays()` is covered by the call graph, not hand-listed.
-  void checkpoint_fields() {
-    bool any = false;
-    for (const FileContext& ctx : contexts_) {
-      any = any || !ctx.checkpoint_directives.empty();
-    }
-    if (!any) return;
-
-    std::map<std::string, std::vector<const ClassModel*>> classes;
-    for (const FileModel& fm : files_) {
-      for (const ClassModel& c : fm.classes) classes[c.name].push_back(&c);
-    }
-    using FnRef = std::pair<std::size_t, std::size_t>;
-    std::map<std::string, std::vector<FnRef>> by_name;
-    for (std::size_t f = 0; f < files_.size(); ++f) {
-      for (std::size_t k = 0; k < files_[f].functions.size(); ++k) {
-        by_name[files_[f].functions[k].name].push_back({f, k});
-      }
-    }
-
-    for (std::size_t f = 0; f < files_.size(); ++f) {
-      const FileContext& ctx = contexts_[f];
-      if (ctx.checkpoint_directives.empty()) continue;
-
-      // Everything the serializer file touches, following calls out of it
-      // (append_canonical, FlatMap::for_each, recompute_delays, ...).
-      std::set<FnRef> visited;
-      std::vector<FnRef> queue;
-      for (std::size_t k = 0; k < files_[f].functions.size(); ++k) {
-        visited.insert({f, k});
-        queue.push_back({f, k});
-      }
-      std::set<std::string> touched;
-      while (!queue.empty()) {
-        const FnRef ref = queue.back();
-        queue.pop_back();
-        const FunctionModel& fn = files_[ref.first].functions[ref.second];
-        for (const MemberTouch& t : fn.touches) touched.insert(t.name);
-        for (const MemberTouch& t : fn.qualified_touches) {
-          touched.insert(t.name);
-        }
-        for (const CallSite& c : fn.calls) {
-          const auto it = by_name.find(c.name);
-          if (it == by_name.end()) continue;
-          for (const FnRef& r : it->second) {
-            if (visited.insert(r).second) queue.push_back(r);
-          }
-        }
-      }
-
-      for (const CheckpointDirective& d : ctx.checkpoint_directives) {
-        for (const std::string& cls_name : d.classes) {
-          const auto it = classes.find(cls_name);
-          if (it == classes.end()) {
-            report(kCheckpointField, files_[f].path, d.line,
-                   "checkpoint-serializer names unknown class `" + cls_name +
-                       "` — not defined in any scanned file");
-            continue;
-          }
-          for (const ClassModel* cls : it->second) {
-            for (const MemberDecl& m : cls->members) {
-              if (m.annotation != "DSS_SHARD_PARTITIONED" &&
-                  m.annotation != "DSS_EPOCH_MERGED") {
-                continue;  // config / derived state need not round-trip
-              }
-              if (touched.count(m.name) != 0) continue;
-              report(kCheckpointField, files_[f].path, d.line,
-                     "serialized class `" + cls_name +
-                         "` has replay-mutable member `" + m.name +
-                         "` (" + m.annotation +
-                         ") that the live-point serializer never touches");
-            }
-          }
         }
       }
     }
