@@ -13,7 +13,8 @@
 // stream is fixed (not a flag) so runs are comparable across invocations
 // by construction. `--epoch-records N` turns on the scheduling-epoch
 // contention model (default off here), which is what engages the
-// pipelined epoch engine at shards > 1.
+// pipelined epoch engine at shards > 1. The sampled replay has no epoch
+// model, so `--epoch-records` with a sampling schedule is a usage error.
 #include <algorithm>
 #include <iostream>
 #include <iterator>

@@ -238,33 +238,54 @@ ExperimentRunner::TrialResult ExperimentRunner::run_trial(
   return tr;
 }
 
+u32 query_cost(tpch::QueryId q) {
+  // Simulated references (loads + stores) of one process, in thousands, at
+  // scale 16 and seed 1 (ext_queries' single-process cells). A process's
+  // references do not depend on the platform or on how many run beside it.
+  switch (q) {
+    case tpch::QueryId::Q1: return 1251;
+    case tpch::QueryId::Q3: return 311;
+    case tpch::QueryId::Q6: return 608;
+    case tpch::QueryId::Q12: return 766;
+    case tpch::QueryId::Q14: return 583;
+    case tpch::QueryId::Q21: return 4788;
+  }
+  return 0;  // unreachable
+}
+
+std::vector<TrialTask> trial_order(
+    std::span<const ExperimentConfig> cfgs,
+    std::span<const std::vector<tpch::QueryId>> queries) {
+  std::vector<TrialTask> tasks;
+  for (u32 c = 0; c < cfgs.size(); ++c) {
+    for (u32 t = 0; t < cfgs[c].trials; ++t) tasks.push_back({c, t});
+  }
+  auto cost = [&queries](u32 cell) {
+    u64 sum = 0;
+    for (const tpch::QueryId q : queries[cell]) sum += query_cost(q);
+    return sum;
+  };
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [&cost](const TrialTask& a, const TrialTask& b) {
+                     return cost(a.cell) > cost(b.cell);
+                   });
+  return tasks;
+}
+
 std::vector<std::vector<ExperimentRunner::TrialResult>>
 ExperimentRunner::run_trials(
     std::span<const ExperimentConfig> cfgs,
     std::span<const std::vector<tpch::QueryId>> queries) {
-  struct Task {
-    u32 cell;
-    u32 trial;
-  };
-  std::vector<Task> tasks;
   std::vector<std::vector<TrialResult>> trials(cfgs.size());
   for (u32 c = 0; c < cfgs.size(); ++c) {
     assert(cfgs[c].nproc >= 1 && cfgs[c].trials >= 1);
     assert(!(cfgs[c].check && cfgs[c].sample.enabled()));
     trials[c].resize(cfgs[c].trials);
-    for (u32 t = 0; t < cfgs[c].trials; ++t) tasks.push_back({c, t});
   }
-  // Longest first: a trial's host time grows with its process count (Q21 at
-  // 8 processes sets the critical path), so starting the widest trials
-  // first keeps the pool busy to the end instead of leaving one long trial
-  // running alone. Results land by (cell, trial), so the order changes no
-  // output.
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [&cfgs](const Task& a, const Task& b) {
-                     return cfgs[a.cell].nproc > cfgs[b.cell].nproc;
-                   });
+  // Results land by (cell, trial), so the order changes no output.
+  const std::vector<TrialTask> tasks = trial_order(cfgs, queries);
   parallel_for_index(pool_for(tasks.size()), tasks.size(), [&](u64 i) {
-    const Task tk = tasks[i];
+    const TrialTask tk = tasks[i];
     trials[tk.cell][tk.trial] =
         run_trial(cfgs[tk.cell], queries[tk.cell], tk.trial);
   });

@@ -137,6 +137,27 @@ struct RunResult {
     double wall_sum, u32 trials, const sim::SampleSchedule& sched,
     std::span<const sim::ExecSampleSummary> trial_samples);
 
+/// Relative host cost of one process running `q`: its simulated references
+/// per process, in thousands, at scale 16. A deterministic stand-in for host
+/// time (no clock): only the ratios between queries matter.
+[[nodiscard]] u32 query_cost(tpch::QueryId q);
+
+/// One trial of one cell, the unit of work the runner's pool schedules.
+struct TrialTask {
+  u32 cell;
+  u32 trial;
+};
+
+/// The order the runner starts its trials in: every trial of every cell of
+/// `cfgs` (`queries[c]` is cell c's per-process query list), costliest
+/// first, where a task costs the sum of query_cost() over its cell's
+/// processes; equal-cost tasks keep their (cell, trial) input order. A
+/// figure pass ends with its longest trial, so the longest start first and
+/// the short ones fill the other workers around them.
+[[nodiscard]] std::vector<TrialTask> trial_order(
+    std::span<const ExperimentConfig> cfgs,
+    std::span<const std::vector<tpch::QueryId>> queries);
+
 /// Builds the TPC-H database once per scale and runs experiment
 /// configurations against it.
 ///

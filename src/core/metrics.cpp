@@ -71,7 +71,8 @@ const FlagSpec kFlagTable[kNumFlags] = {
     {"--cpus", "N,N,...", &BenchOptions::cpus, 1,
      "serving: simulated CPU counts to sweep (default 8,16,32)"},
     {"--epoch-records", "N", &BenchOptions::epoch_records, 0,
-     "replay: scheduling-epoch length in records (default: epochs off)"},
+     "replay: scheduling-epoch length in records (default: epochs off; "
+     "full-detail replay only)"},
 };
 
 /// "--name VALUE", or just "--name" for a switch.
@@ -214,6 +215,10 @@ BenchOptions parse_bench_options(int argc, char** argv, FlagSet accepted) {
   }
   if (o.arrival != "closed" && o.arrival != "open" && o.arrival != "both") {
     fail("--arrival expects 'closed', 'open', or 'both'");
+  }
+  if (o.sample_units > 0 && o.epoch_records > 0) {
+    fail("--epoch-records cannot be combined with sampling: the sampled "
+         "replay runs without the scheduling-epoch contention model");
   }
   if (o.sample_units > 0 && o.check) {
     fail("--check cannot be combined with sampling: the invariant checker's "

@@ -36,6 +36,9 @@ BufferPool::BufferPool(ShmAllocator& shm, u32 num_frames, SpinPolicy spin)
       frames_(num_frames),
       registry_(shm.registry()) {
   assert(num_frames_ > 0);
+  // The map never holds more than one entry per frame: sizing it once keeps
+  // its load at or under one half and spares the prewarm any rehash.
+  map_.reserve(num_frames_);
 }
 
 void BufferPool::set_page_classifier(PageClassifier fn) {
@@ -63,13 +66,13 @@ void BufferPool::touch_freelist(os::Process& p, u32 frame) {
 
 void BufferPool::prewarm(PageKey key) {
   const u64 packed = key.packed();
-  if (map_.contains(packed)) return;
+  if (map_.find(packed) != nullptr) return;
   if (map_.size() >= num_frames_) {
     throw std::runtime_error("prewarm: buffer pool smaller than database");
   }
   const u32 f = static_cast<u32>(map_.size());
   frames_[f] = Frame{packed, true, 0, 1};
-  map_.emplace(packed, f);
+  map_.get_or_insert(packed) = f;
   tag_frame(f, key.rel_id);
 }
 
@@ -111,15 +114,15 @@ sim::SimAddr BufferPool::pin(os::Process& p, PageKey key) {
   touch_hash(p, packed);
 
   u32 f;
-  if (auto it = map_.find(packed); it != map_.end()) {
-    f = it->second;
+  if (const u32* hit = map_.find(packed)) {
+    f = *hit;
     ++hits_;
   } else {
     ++misses_;
     f = find_victim(p);
     if (frames_[f].valid) map_.erase(frames_[f].key_packed);
     frames_[f] = Frame{packed, true, 0, 0};
-    map_.emplace(packed, f);
+    map_.get_or_insert(packed) = f;
     tag_frame(f, key.rel_id);
     // Synchronous read() from disk: the backend blocks — a voluntary
     // context switch and ~4 ms of wall time at late-90s disk speed — then
@@ -148,11 +151,11 @@ sim::SimAddr BufferPool::allocate(os::Process& p, PageKey key) {
   const u64 packed = key.packed();
   p.instr(cost::kPin);
   lock_.acquire(p);
-  assert(!map_.contains(packed) && "allocate of an existing page");
+  assert(map_.find(packed) == nullptr && "allocate of an existing page");
   const u32 f = find_victim(p);
   if (frames_[f].valid) map_.erase(frames_[f].key_packed);
   frames_[f] = Frame{packed, true, 1, 1};
-  map_.emplace(packed, f);
+  map_.get_or_insert(packed) = f;
   tag_frame(f, key.rel_id);
   touch_header(p, f);
   touch_freelist(p, f);
@@ -169,25 +172,25 @@ void BufferPool::unpin(os::Process& p, PageKey key) {
   const u64 packed = key.packed();
   p.instr(cost::kUnpin);
   lock_.acquire(p);
-  auto it = map_.find(packed);
-  assert(it != map_.end() && "unpin of non-resident page");
-  Frame& fr = frames_[it->second];
+  const u32* f = map_.find(packed);
+  assert(f != nullptr && "unpin of non-resident page");
+  Frame& fr = frames_[*f];
   assert(fr.pins > 0 && "unpin of unpinned page");
   --fr.pins;
-  touch_header(p, it->second);
-  touch_freelist(p, it->second);
+  touch_header(p, *f);
+  touch_freelist(p, *f);
   lock_.release(p);
 }
 
 sim::SimAddr BufferPool::frame_addr(PageKey key) const {
-  auto it = map_.find(key.packed());
-  assert(it != map_.end() && "frame_addr of non-resident page");
-  return data_base_ + static_cast<u64>(it->second) * kPageBytes;
+  const u32* f = map_.find(key.packed());
+  assert(f != nullptr && "frame_addr of non-resident page");
+  return data_base_ + static_cast<u64>(*f) * kPageBytes;
 }
 
 u32 BufferPool::pin_count(PageKey key) const {
-  auto it = map_.find(key.packed());
-  return it == map_.end() ? 0 : frames_[it->second].pins;
+  const u32* f = map_.find(key.packed());
+  return f == nullptr ? 0 : frames_[*f].pins;
 }
 
 }  // namespace dss::db

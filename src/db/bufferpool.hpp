@@ -11,13 +11,13 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "db/costs.hpp"
 #include "db/shm.hpp"
 #include "db/spinlock.hpp"
 #include "os/process.hpp"
+#include "util/flatmap.hpp"
 
 namespace dss::db {
 
@@ -64,7 +64,7 @@ class BufferPool {
 
   /// Host-side residency check (tests).
   [[nodiscard]] bool resident(PageKey key) const {
-    return map_.contains(key.packed());
+    return map_.find(key.packed()) != nullptr;
   }
   [[nodiscard]] u32 pin_count(PageKey key) const;
 
@@ -104,7 +104,7 @@ class BufferPool {
   sim::SimAddr hash_base_;
   sim::SimAddr freelist_head_;
   std::vector<Frame> frames_;
-  std::unordered_map<u64, u32> map_;  ///< packed key -> frame
+  util::FlatMap<u32> map_;  ///< packed key -> frame
   sim::AddrClassRegistry* registry_;  ///< from the ShmAllocator; may be null
   PageClassifier classifier_;
   u32 clock_hand_ = 0;

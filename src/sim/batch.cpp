@@ -13,7 +13,7 @@
 #include <utility>
 
 #include "sim/addr.hpp"
-#include "sim/cache.hpp"
+#include "sim/tlb.hpp"
 
 namespace dss::sim {
 
@@ -42,7 +42,6 @@ namespace {
 // Trace compile and shard routing (chunked scans with a prefix-sum stitch)
 // ---------------------------------------------------------------------------
 
-constexpr u64 kNoPage = ~u64{0};
 /// Small instruction gaps dominate every stream; memoize the fp multiply
 /// (identical double math, computed once per distinct small gap).
 constexpr u64 kGapMemo = 256;
@@ -59,38 +58,6 @@ constexpr u64 kGapMemo = 256;
                                 const std::array<u64, kGapMemo>& memo) {
   return gap < kGapMemo ? memo[gap]
                         : static_cast<u64>(static_cast<double>(gap) * cpi);
-}
-
-[[nodiscard]] CacheConfig tlb_geometry(const MachineConfig& cfg) {
-  return CacheConfig{static_cast<u64>(cfg.tlb_entries) * kPlacementPageBytes,
-                     static_cast<u32>(kPlacementPageBytes), cfg.tlb_entries,
-                     1};
-}
-
-/// Replay one record against a processor's private TLB model, exactly as
-/// MachineSim::translate would (same geometry, same lookup/insert order over
-/// the record's pages; see machine.cpp for why the L1-hit fast path touches
-/// the same page sequence). A page that is already the processor's MRU entry
-/// is a guaranteed hit whose LRU touch is a no-op, so it skips the
-/// associative probe entirely (bit-identical). Returns the TLB stall.
-[[nodiscard]] u64 tlb_replay_record(const TraceRecord& r, SetAssocCache& tlb,
-                                    u64& mru_page, u32 miss_penalty,
-                                    u64& misses) {
-  u64 stall = 0;
-  const u64 first_page = r.addr / kPlacementPageBytes;
-  const u64 last_page = (r.addr + r.len - 1) / kPlacementPageBytes;
-  for (u64 page = first_page; page <= last_page; ++page) {
-    if (page == mru_page) continue;
-    if (tlb.lookup(page).has_value()) {
-      mru_page = page;
-      continue;
-    }
-    ++misses;
-    stall += miss_penalty;
-    (void)tlb.insert(page, LineState::E);
-    mru_page = page;
-  }
-  return stall;
 }
 
 /// Per-unit segments a record splits into (records rarely straddle units).
@@ -442,9 +409,8 @@ CompiledTrace compile_trace(const MachineConfig& cfg,
   const bool tlb_on = cfg.tlb_entries != 0;
   parallel_for_index(pool, nproc, [&](u64 pi) {
     const u32 p = static_cast<u32>(pi);
-    std::optional<SetAssocCache> tlb;
-    if (tlb_on) tlb.emplace(tlb_geometry(cfg));
-    u64 mru_page = kNoPage;
+    std::optional<Tlb> tlb;
+    if (tlb_on) tlb.emplace(cfg.tlb_entries);
     u64 serial = 0;
     u64 instr = 0, gap_total = 0, tlb_stall_sum = 0, misses = 0;
     u64 next_epoch = 0;
@@ -463,8 +429,10 @@ CompiledTrace compile_trace(const MachineConfig& cfg,
       const u64 gap_cycles = gap_cycles_of(r.instr_gap, cpi, gap_memo);
       u64 tlb_stall = 0;
       if (tlb_on) {
-        tlb_stall =
-            tlb_replay_record(r, *tlb, mru_page, cfg.tlb_miss_penalty, misses);
+        // Exactly MachineSim::translate's page sequence and refills.
+        const u32 refills = tlb->translate(r.addr, r.len);
+        misses += refills;
+        tlb_stall = u64{refills} * cfg.tlb_miss_penalty;
       }
       instr += r.instr_gap;
       gap_total += gap_cycles;

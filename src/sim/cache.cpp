@@ -11,9 +11,6 @@ u32 log2_exact(u64 v) {
   assert(v != 0 && (v & (v - 1)) == 0 && "cache geometry must be a power of two");
   return static_cast<u32>(std::countr_zero(v));
 }
-
-/// Identity recency word: nibble p holds way p (way 0 = MRU ... 15 = LRU).
-constexpr u64 kIdentityOrder = 0xFEDCBA9876543210ULL;
 }  // namespace
 
 SetAssocCache::SetAssocCache(const CacheConfig& cfg)
@@ -27,10 +24,7 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg)
   if (cfg_.assoc == 2) {
     repl_ = Repl::kTwoWay;
     order_.assign(num_sets_, 1);  // way 1 is MRU <=> way 0 is the victim
-  } else if (cfg_.assoc > 2 && cfg_.assoc <= kMaxPackedAssoc) {
-    repl_ = Repl::kPacked;
-    order_.assign(num_sets_, kIdentityOrder);
-  } else if (cfg_.assoc > kMaxPackedAssoc) {
+  } else if (cfg_.assoc > 2) {
     repl_ = Repl::kStamp;
     stamps_.assign(ways_.size(), 0);
   }
@@ -51,14 +45,6 @@ const u64* SetAssocCache::find(u64 line_addr) const {
   return const_cast<SetAssocCache*>(this)->find(line_addr);
 }
 
-void SetAssocCache::touch_packed(u32 set, u32 w) {
-  const u64 ord = order_[set];
-  if ((ord & 0xF) == w) return;  // already MRU — the steady-state case
-  u32 p = 1;
-  while (((ord >> (4 * p)) & 0xF) != w) ++p;
-  order_[set] = promote(ord, p);
-}
-
 std::optional<LineState> SetAssocCache::lookup_past_mru(u32 set, u64 want) {
   const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
   auto hit = [&](u32 w) { return (base[w] ^ want) - 1 < 3; };
@@ -71,20 +57,6 @@ std::optional<LineState> SetAssocCache::lookup_past_mru(u32 set, u64 want) {
       if (!hit(w)) return std::nullopt;
       order_[set] = w;
       return state(w);
-    }
-    case Repl::kPacked: {
-      // Walk the ways MRU -> LRU: a hit at recency position p costs p + 1
-      // compares, and its promotion splices position p directly instead of
-      // searching the order word for the way's nibble.
-      const u64 ord = order_[set];
-      for (u32 p = 1; p < cfg_.assoc; ++p) {
-        const auto w = static_cast<u32>((ord >> (4 * p)) & 0xF);
-        if (hit(w)) {
-          order_[set] = promote(ord, p);
-          return state(w);
-        }
-      }
-      return std::nullopt;
     }
     case Repl::kStamp:
       for (u32 w = 0; w < cfg_.assoc; ++w) {
@@ -177,11 +149,6 @@ void SetAssocCache::append_canonical(std::vector<u64>& out) const {
       case Repl::kTwoWay:
         order[0] = static_cast<u32>(order_[set]);
         order[1] = order[0] ^ 1;
-        break;
-      case Repl::kPacked:
-        for (u32 p = 0; p < cfg_.assoc; ++p) {
-          order[p] = static_cast<u32>((order_[set] >> (4 * p)) & 0xF);
-        }
         break;
       case Repl::kStamp: {
         const u64* st = &stamps_[static_cast<std::size_t>(set) * cfg_.assoc];

@@ -12,19 +12,15 @@
 // and no per-way padding (the previous {u64, enum} pair padded to 16 bytes;
 // packing halves the footprint and doubles effective tag bandwidth).
 //
-// Replacement bookkeeping is geometry-specialized (all four schemes
+// Replacement bookkeeping is geometry-specialized (all three schemes
 // implement *exactly* true LRU, so results are identical across them):
 //   * assoc == 1 (the V-Class's direct-mapped 2 MB cache): no LRU state at
 //     all — lookups touch nothing and the victim is the single way.
 //   * assoc == 2 (the Origin's 2-way L1/L2): `order_[set]` holds the MRU
 //     way index; a touch is one store and the LRU victim is `mru ^ 1`.
-//   * 3 <= assoc <= 16: an order-encoded per-set recency word — nibble p of
-//     `order_[set]` holds the way index of the p-th most recently used slot.
-//     A hit splices one nibble to the MRU position with O(1) bit
-//     arithmetic; an eviction reads the LRU way straight out of the top
-//     nibble instead of scanning timestamps.
-//   * assoc > 16 (the fully-associative TLBs): classic timestamp LRU, kept
-//     in a side array so the hot tag/state array stays compact.
+//   * assoc >= 3 (no stock geometry; the TLBs are sim::Tlb): classic
+//     timestamp LRU, kept in a side array so the tag/state array stays
+//     compact.
 #pragma once
 
 #include <cassert>
@@ -62,19 +58,16 @@ class SetAssocCache {
   /// Look up a line; returns its state or nullopt on miss. Updates LRU.
   /// Defined inline: this is the innermost probe of every simulated
   /// reference. The inline part is the common case, a hit on the only way
-  /// (direct-mapped) or on the MRU way (two-way and packed recency: the low
-  /// nibble of the order word), with the same branchless test as
-  /// lookup_fixed(). An MRU hit needs no recency update, since promoting
-  /// the MRU way is a no-op. Everything else — above all the TLB probe
-  /// every reference makes when it misses the MRU entry — continues out of
+  /// (direct-mapped) or on the MRU way (two-way), with the same branchless
+  /// test as lookup_fixed(). An MRU hit needs no recency update, since
+  /// promoting the MRU way is a no-op. Everything else continues out of
   /// line in lookup_past_mru().
   [[nodiscard]] std::optional<LineState> lookup(u64 line_addr) {
     const u32 set = set_of(line_addr);
     const u64 want = tag_of(line_addr) << 2;
     if (repl_ != Repl::kStamp) {
       const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
-      const u64 mru =
-          repl_ == Repl::kNone ? 0 : static_cast<u64>(order_[set] & 0xF);
+      const u64 mru = repl_ == Repl::kNone ? 0 : order_[set];
       const u64 x = base[mru] ^ want;
       if (x - 1 < 3) return static_cast<LineState>(x);
       if (repl_ == Repl::kNone) return std::nullopt;
@@ -157,11 +150,8 @@ class SetAssocCache {
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
  private:
-  /// Packed-order mode handles up to one nibble per way in a u64.
-  static constexpr u32 kMaxPackedAssoc = 16;
-
   /// Replacement scheme, chosen once from the geometry (see file comment).
-  enum class Repl : u8 { kNone, kTwoWay, kPacked, kStamp };
+  enum class Repl : u8 { kNone, kTwoWay, kStamp };
 
   /// Packed way word: `(tag << 2) | state`; 0 == invalid.
   [[nodiscard]] static u64 pack(u64 tag, LineState s) {
@@ -187,26 +177,14 @@ class SetAssocCache {
       case Repl::kTwoWay:
         order_[set] = w;
         return;
-      case Repl::kPacked:
-        touch_packed(set, w);
-        return;
       case Repl::kStamp:
         stamps_[static_cast<std::size_t>(set) * cfg_.assoc + w] = ++clock_;
         return;
     }
   }
-  void touch_packed(u32 set, u32 w);
   /// lookup() of tag word `want` in `set` once the MRU way (if the scheme
   /// has one) missed: the rest of the set, with the hit's recency update.
   [[nodiscard]] std::optional<LineState> lookup_past_mru(u32 set, u64 want);
-  /// Recency word `ord` with the way at position p spliced to the MRU
-  /// position; positions [0, p) shift up by one nibble, the rest stay put.
-  [[nodiscard]] static u64 promote(u64 ord, u32 p) {
-    const u64 w = (ord >> (4 * p)) & 0xF;
-    const u64 low = ord & ((u64{1} << (4 * p)) - 1);
-    const u64 high = p >= 15 ? 0 : ord & ~((u64{1} << (4 * (p + 1))) - 1);
-    return high | (low << 4) | w;
-  }
 
   /// Way insert() fills in `set`: the first free way, else the LRU way.
   [[nodiscard]] u32 insert_way(u32 set) const;
@@ -218,8 +196,6 @@ class SetAssocCache {
         return 0;
       case Repl::kTwoWay:
         return static_cast<u32>(order_[set]) ^ 1;
-      case Repl::kPacked:
-        return static_cast<u32>((order_[set] >> (4 * (cfg_.assoc - 1))) & 0xF);
       case Repl::kStamp:
         return lru_way_stamp(set);
     }
@@ -237,7 +213,7 @@ class SetAssocCache {
 
   // --- replacement state (see header comment) ---
   DSS_REPLAY_SAFE Repl repl_ = Repl::kNone;
-  /// two-way: MRU way; packed: recency word
+  /// two-way: MRU way
   DSS_SHARD_PARTITIONED std::vector<u64> order_;
   DSS_SHARD_PARTITIONED std::vector<u64> stamps_;  ///< stamp mode: per-way timestamp
   DSS_SHARD_PARTITIONED u64 clock_ = 0;  ///< stamp mode: monotonic source

@@ -54,32 +54,17 @@ MachineSim::MachineSim(const MachineConfig& cfg)
   dir_.reserve(static_cast<std::size_t>(std::min(units, u64{1} << 14)));
 
   if (cfg_.tlb_entries != 0) {
-    // A fully-associative LRU TLB is a one-set cache of page-sized lines.
-    const CacheConfig tlb_geom{
-        static_cast<u64>(cfg_.tlb_entries) * kPlacementPageBytes,
-        static_cast<u32>(kPlacementPageBytes), cfg_.tlb_entries, 1};
-    tlbs_.reserve(cfg_.num_processors);
-    for (u32 p = 0; p < cfg_.num_processors; ++p) tlbs_.emplace_back(tlb_geom);
+    tlbs_.assign(cfg_.num_processors, Tlb(cfg_.tlb_entries));
   }
 }
 
 template <bool kTimed>
 u64 MachineSim::translate(u32 proc, SimAddr addr, u32 len) {
   if (tlbs_.empty()) return 0;
-  SetAssocCache& tlb = tlbs_[proc];
-  [[maybe_unused]] perf::Counters& c = ctr(proc);
-  u64 exposed = 0;
-  const u64 first = addr / kPlacementPageBytes;
-  const u64 last = (addr + len - 1) / kPlacementPageBytes;
-  for (u64 page = first; page <= last; ++page) {
-    if (tlb.lookup(page).has_value()) continue;
-    if constexpr (kTimed) {
-      ++c.tlb_misses;
-      exposed += cfg_.tlb_miss_penalty;
-    }
-    (void)tlb.insert(page, LineState::E);  // state unused; E = valid
-  }
-  return exposed;
+  const u32 misses = tlbs_[proc].translate(addr, len);
+  if (!kTimed || misses == 0) return 0;
+  ctr(proc).tlb_misses += misses;
+  return u64{misses} * cfg_.tlb_miss_penalty;
 }
 
 void MachineSim::attach_counters(u32 proc, perf::Counters* c) {

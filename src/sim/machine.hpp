@@ -38,6 +38,7 @@
 #include "sim/directory.hpp"
 #include "sim/interconnect.hpp"
 #include "sim/memctrl.hpp"
+#include "sim/tlb.hpp"
 
 namespace dss::sim {
 
@@ -395,7 +396,7 @@ class MachineSim {
   /// [proc][level]
   DSS_SHARD_PARTITIONED std::vector<std::vector<SetAssocCache>> caches_;
   /// [proc], optional
-  DSS_SHARD_PARTITIONED std::vector<SetAssocCache> tlbs_;
+  DSS_SHARD_PARTITIONED std::vector<Tlb> tlbs_;
   DSS_SHARD_PARTITIONED std::vector<perf::Counters*> counters_;
   /// sink for unattached processors
   DSS_SHARD_PARTITIONED perf::Counters scratch_;

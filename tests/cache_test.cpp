@@ -241,9 +241,9 @@ class RefLru {
 };
 
 TEST(Cache, RandomOpsMatchListLruAcrossReplacementSchemes) {
-  // assoc 4/7/8/16 use the packed recency word (7 and 8 are the scaled
-  // TLBs), 32 the timestamp scheme. Lines span three times the capacity so
-  // sets overflow; invalidations leave holes that later inserts refill.
+  // Every assoc above 2 takes the timestamp scheme. Lines span three times
+  // the capacity so sets overflow; invalidations leave holes that later
+  // inserts refill.
   constexpr LineState kStates[] = {LineState::S, LineState::E, LineState::M};
   for (u32 assoc : {4u, 7u, 8u, 16u, 32u}) {
     SCOPED_TRACE(assoc);

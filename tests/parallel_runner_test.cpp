@@ -75,9 +75,9 @@ TEST(ParallelRunner, RunCellsMatchesPerCellSerialRuns) {
 }
 
 TEST(ParallelRunner, RunCellsKeepsInputOrderWhateverTheTaskOrder) {
-  // run_trials starts the widest trials first; the results must still come
-  // back in input order and identical at any pool size. Widths are given
-  // shuffled so the sorted task order differs from the input order.
+  // run_trials starts the costliest trials first; the results must still
+  // come back in input order and identical at any pool size. Widths are
+  // given shuffled so the sorted task order differs from the input order.
   std::vector<ExperimentConfig> cfgs;
   const std::pair<tpch::QueryId, u32> cells[] = {
       {tpch::QueryId::Q6, 1}, {tpch::QueryId::Q12, 3},
@@ -155,6 +155,65 @@ TEST(ParallelRunner, CellStampsTheRunnersSettings) {
   ASSERT_NE(runner.metrics_doc(), nullptr);
   ASSERT_EQ(runner.metrics_doc()->cells.size(), 3u);
   for (const auto& c : runner.metrics_doc()->cells) EXPECT_TRUE(c.check);
+}
+
+TEST(ParallelRunner, TrialOrderStartsTheCostliestTrialsFirst) {
+  // The Fig. 3 grid in its figure order: {V-Class, Origin} x {Q6, Q21, Q12}
+  // x {1, 8} processes, two trials each.
+  std::vector<ExperimentConfig> cfgs;
+  std::vector<std::vector<tpch::QueryId>> queries;
+  for (auto pl : {perf::Platform::VClass, perf::Platform::Origin2000}) {
+    for (auto q : {tpch::QueryId::Q6, tpch::QueryId::Q21, tpch::QueryId::Q12}) {
+      for (u32 np : {1u, 8u}) {
+        ExperimentConfig cfg;
+        cfg.platform = pl;
+        cfg.query = q;
+        cfg.nproc = np;
+        cfg.trials = 2;
+        cfgs.push_back(cfg);
+        queries.emplace_back(np, q);
+      }
+    }
+  }
+  const std::vector<core::TrialTask> order = core::trial_order(cfgs, queries);
+  ASSERT_EQ(order.size(), 24u);
+  // Both Q21x8 cells (V-Class cell 3, Origin cell 9) come before every
+  // other task, each cell's trials in trial order and equal-cost cells in
+  // input order.
+  const std::vector<std::pair<u32, u32>> head = {{3, 0}, {3, 1}, {9, 0}, {9, 1}};
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    EXPECT_EQ(order[i].cell, head[i].first) << i;
+    EXPECT_EQ(order[i].trial, head[i].second) << i;
+  }
+  // Every cell's trials appear exactly once, in descending cost.
+  u64 prev = UINT64_MAX;
+  std::vector<u32> seen(cfgs.size(), 0);
+  for (const core::TrialTask& t : order) {
+    const u64 cost = u64{cfgs[t.cell].nproc} * core::query_cost(cfgs[t.cell].query);
+    EXPECT_LE(cost, prev);
+    prev = cost;
+    EXPECT_EQ(t.trial, seen[t.cell]++);
+  }
+  for (u32 n : seen) EXPECT_EQ(n, 2u);
+}
+
+TEST(ParallelRunner, TrialOrderWeighsAMixCellByItsProcessesQueries) {
+  std::vector<ExperimentConfig> cfgs(3);
+  const std::vector<std::vector<tpch::QueryId>> queries = {
+      {tpch::QueryId::Q6, tpch::QueryId::Q6},    // 2 x Q6
+      {tpch::QueryId::Q6, tpch::QueryId::Q21},   // a mix holding one Q21
+      {tpch::QueryId::Q12, tpch::QueryId::Q12}};  // 2 x Q12
+  for (u32 c = 0; c < 3; ++c) {
+    cfgs[c].nproc = 2;
+    cfgs[c].trials = 1;
+  }
+  ASSERT_GT(core::query_cost(tpch::QueryId::Q21),
+            core::query_cost(tpch::QueryId::Q12) * 2);
+  const std::vector<core::TrialTask> order = core::trial_order(cfgs, queries);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0].cell, 1u) << "the mix's Q21 process outweighs 2 x Q12";
+  EXPECT_EQ(order[1].cell, 2u);
+  EXPECT_EQ(order[2].cell, 0u);
 }
 
 TEST(ParallelRunner, SetJobsDoesNotChangeResults) {
