@@ -101,20 +101,6 @@ void Process::select_sleep(u64 cycles) {
   now_ += cycles;
 }
 
-void Process::schedule_in(u64 cycle) {
-  if (cycle > now_) now_ = cycle;  // ready-queue wait: wall time only
-  // The machine attributes this CPU's events to whoever runs on it now.
-  machine_.attach_counters(cpu_, &ctr_);
-}
-
-void Process::note_preemption() {
-  ++ctr_.invol_ctx_switches;
-  const u64 cost = machine_.config().ctx_switch_cost;
-  now_ += cost;
-  ctr_.cycles += cost;
-  if (machine_.attribution()) ctr_.stack.sched += cost;
-}
-
 double Process::thread_seconds() const {
   return static_cast<double>(ctr_.cycles) /
          (machine_.config().clock_mhz * 1e6);

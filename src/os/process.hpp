@@ -52,13 +52,6 @@ class Process {
   /// more query processes run (Fig. 10's slow involuntary growth).
   void set_timeslice(u64 cycles);
 
-  // --- scheduler hooks (CPU multiplexing) ---
-  /// The process is dispatched at absolute cycle `cycle` after waiting in
-  /// the ready queue: wall time advances, thread time does not.
-  void schedule_in(u64 cycle);
-  /// The process is preempted in favour of another job on its CPU.
-  void note_preemption();
-
  private:
   /// Advance the clock. `attributed` marks a stall whose CPI-stack parts
   /// were already folded in from the machine's stall_parts(); otherwise the

@@ -1,7 +1,8 @@
 #include "os/scheduler.hpp"
 
 #include <cassert>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 namespace dss::os {
 
@@ -11,57 +12,33 @@ Scheduler::Scheduler(u64 window_cycles) : window_(window_cycles) {
 
 void Scheduler::add(std::unique_ptr<Process> p, Step step) {
   assert(p != nullptr);
+  for (const Job& j : jobs_) {
+    if (j.proc->cpu() == p->cpu()) {
+      throw std::invalid_argument("Scheduler::add: CPU " +
+                                  std::to_string(p->cpu()) +
+                                  " already runs a job");
+    }
+  }
   jobs_.push_back(Job{std::move(p), std::move(step), false});
 }
 
 void Scheduler::run_all() {
   if (jobs_.empty()) return;
-
-  // Group jobs by CPU; multiplexing only matters where a CPU is shared.
-  std::unordered_map<u32, std::vector<std::size_t>> by_cpu;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    by_cpu[jobs_[i].proc->cpu()].push_back(i);
-  }
-  std::unordered_map<u32, std::size_t> active;  // rotation cursor per CPU
-  // dss-lint: allow(unordered-iter) key-insert only; order cannot be observed
-  for (const auto& [cpu, idxs] : by_cpu) active[cpu] = 0;
-
-  u64 windows = 0;
   bool any_left = true;
   while (any_left) {
     const u64 target = global_ + window_;
     any_left = false;
     jobs_.front().proc->machine().begin_epoch(window_);
-
-    const bool rotate = (windows % kQuantumWindows) == kQuantumWindows - 1;
-    // dss-lint: allow(unordered-iter) visit order shapes the interleaving the golden fixtures pin; sorting would invalidate every golden
-    for (auto& [cpu, idxs] : by_cpu) {
-      // Pick the active job on this CPU, skipping finished ones.
-      std::size_t& cursor = active[cpu];
-      std::size_t tried = 0;
-      while (tried < idxs.size() && jobs_[idxs[cursor]].done) {
-        cursor = (cursor + 1) % idxs.size();
-        ++tried;
-      }
-      Job& j = jobs_[idxs[cursor]];
+    for (std::size_t i = jobs_.size(); i-- > 0;) {
+      Job& j = jobs_[i];
       if (j.done) continue;
       any_left = true;
       Process& p = *j.proc;
-      if (idxs.size() > 1) p.schedule_in(global_);
       while (!j.done && p.now() < target) {
         j.done = j.step(p);
       }
-      if (rotate && idxs.size() > 1) {
-        std::size_t live = 0;
-        for (std::size_t i : idxs) live += !jobs_[i].done;
-        if (live > 1) {
-          if (!j.done) p.note_preemption();
-          cursor = (cursor + 1) % idxs.size();
-        }
-      }
     }
     global_ = target;
-    ++windows;
   }
 }
 

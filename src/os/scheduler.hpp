@@ -10,13 +10,10 @@
 // A process that raced ahead (e.g. a select() sleep jumped its clock) simply
 // skips rounds until global time catches up.
 //
-// CPU multiplexing: when several jobs are bound to the same CPU (more query
-// processes than processors), the scheduler time-slices them — one job per
-// CPU runs per quantum (a fixed number of windows), the others wait in the
-// ready queue (wall time passes, thread time does not), and each rotation
-// charges the outgoing job an involuntary context switch. The displaced
-// job's cache contents are naturally disturbed by the incoming one, since
-// the simulated cache belongs to the CPU.
+// Within a window the jobs run in reverse order of add() — descending CPU
+// id for every caller, which binds process i to CPU i — the interleaving
+// the golden fixtures pin. Involuntary context switches come from the
+// processes' own time slices (Process::check_timeslice), not from here.
 #pragma once
 
 #include <functional>
@@ -35,7 +32,9 @@ class Scheduler {
 
   explicit Scheduler(u64 window_cycles = 20'000);
 
-  /// Register a job; the scheduler takes ownership of the process.
+  /// Register a job; the scheduler takes ownership of the process. Each
+  /// job needs a CPU of its own: a second job on a CPU already taken
+  /// throws std::invalid_argument.
   void add(std::unique_ptr<Process> p, Step step);
 
   /// Run every job to completion.
@@ -47,9 +46,6 @@ class Scheduler {
   [[nodiscard]] const Process& process(std::size_t i) const {
     return *jobs_[i].proc;
   }
-
-  /// Windows per scheduling quantum when CPUs are overcommitted.
-  static constexpr u64 kQuantumWindows = 64;
 
  private:
   struct Job {

@@ -52,21 +52,6 @@ u64 CpiStack::mem_stall() const {
          mem_remote_mid + mem_remote_far + intervention;
 }
 
-CpiStack& CpiStack::operator+=(const CpiStack& o) {
-  compute += o.compute;
-  spin += o.spin;
-  sched += o.sched;
-  tlb += o.tlb;
-  atomics += o.atomics;
-  l2_hit += o.l2_hit;
-  mem_local += o.mem_local;
-  mem_remote_near += o.mem_remote_near;
-  mem_remote_mid += o.mem_remote_mid;
-  mem_remote_far += o.mem_remote_far;
-  intervention += o.intervention;
-  return *this;
-}
-
 Counters& Counters::operator+=(const Counters& o) {
   cycles += o.cycles;
   instructions += o.instructions;

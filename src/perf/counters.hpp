@@ -83,7 +83,22 @@ struct CpiStack {
   /// All memory-system stall components (everything below the CPU core).
   [[nodiscard]] u64 mem_stall() const;
 
-  CpiStack& operator+=(const CpiStack& o);
+  /// Defined inline: `Process` and `MachineSim::access_batch` fold a
+  /// reference's stall parts in with it after every nonzero stall.
+  CpiStack& operator+=(const CpiStack& o) {
+    compute += o.compute;
+    spin += o.spin;
+    sched += o.sched;
+    tlb += o.tlb;
+    atomics += o.atomics;
+    l2_hit += o.l2_hit;
+    mem_local += o.mem_local;
+    mem_remote_near += o.mem_remote_near;
+    mem_remote_mid += o.mem_remote_mid;
+    mem_remote_far += o.mem_remote_far;
+    intervention += o.intervention;
+    return *this;
+  }
 };
 
 /// Raw event totals for one simulated process (thread). All values are

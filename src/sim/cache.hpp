@@ -23,7 +23,6 @@
 //     compact.
 #pragma once
 
-#include <cassert>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -58,16 +57,20 @@ class SetAssocCache {
   /// Look up a line; returns its state or nullopt on miss. Updates LRU.
   /// Defined inline: this is the innermost probe of every simulated
   /// reference. The inline part is the common case, a hit on the only way
-  /// (direct-mapped) or on the MRU way (two-way), with the same branchless
-  /// test as lookup_fixed(). An MRU hit needs no recency update, since
-  /// promoting the MRU way is a no-op. Everything else continues out of
-  /// line in lookup_past_mru().
+  /// (direct-mapped) or on the MRU way (two-way). An MRU hit needs no
+  /// recency update, since promoting the MRU way is a no-op. Everything
+  /// else continues out of line in lookup_past_mru().
+  // dss-lint: hot-path
   [[nodiscard]] std::optional<LineState> lookup(u64 line_addr) {
     const u32 set = set_of(line_addr);
     const u64 want = tag_of(line_addr) << 2;
     if (repl_ != Repl::kStamp) {
       const u64* base = &ways_[static_cast<std::size_t>(set) * cfg_.assoc];
       const u64 mru = repl_ == Repl::kNone ? 0 : order_[set];
+      // Branchless hit test on the packed way word `(tag << 2) | state`:
+      // x = word ^ want is the MESI state exactly when the tags match, and
+      // state 0 (an invalid way) folds into the same unsigned `x - 1 >= 3`
+      // rejection as a tag mismatch — one subtract-compare decides both.
       const u64 x = base[mru] ^ want;
       if (x - 1 < 3) return static_cast<LineState>(x);
       if (repl_ == Repl::kNone) return std::nullopt;
@@ -75,43 +78,9 @@ class SetAssocCache {
     return lookup_past_mru(set, want);
   }
 
-  /// lookup() with the associativity fixed at compile time — the batched
-  /// replay loop dispatches once per batch on the L1 geometry (direct-mapped
-  /// V-Class, 2-way Origin) so the per-reference probe is a fully unrolled
-  /// compare with the LRU touch reduced to nothing (assoc 1) or one store
-  /// (assoc 2). Identical transitions and results to lookup().
-  template <u32 kAssoc>
-  [[nodiscard]] std::optional<LineState> lookup_fixed(u64 line_addr) {
-    static_assert(kAssoc == 1 || kAssoc == 2);
-    assert(cfg_.assoc == kAssoc);
-    const u32 set = set_of(line_addr);
-    const u64 want = tag_of(line_addr) << 2;
-    const u64* base = &ways_[static_cast<std::size_t>(set) * kAssoc];
-    // Branchless hit test on the packed way word `(tag << 2) | state`:
-    // x = word ^ want is the MESI state exactly when the tags match, and
-    // state 0 (an invalid way) folds into the same unsigned `x - 1 >= 3`
-    // rejection as a tag mismatch — one subtract-compare decides both.
-    if constexpr (kAssoc == 1) {
-      const u64 x = base[0] ^ want;
-      if (x - 1 < 3) return static_cast<LineState>(x);
-      return std::nullopt;
-    } else {
-      const u64 x0 = base[0] ^ want;
-      const u64 x1 = base[1] ^ want;
-      const bool h0 = x0 - 1 < 3;
-      if (h0 || x1 - 1 < 3) {
-        // At most one way holds a tag, so the selects below are exact; the
-        // compiler lowers both to cmov (same transitions as lookup()).
-        order_[set] = h0 ? u64{0} : u64{1};
-        return static_cast<LineState>(h0 ? x0 : x1);
-      }
-      return std::nullopt;
-    }
-  }
-
   /// Prefetch hint for the way words of `line_addr`'s set (advisory, no
-  /// state change); the batched replay loop issues this a fixed lookahead
-  /// ahead of the probe itself.
+  /// state change); the batch loops issue this a fixed lookahead ahead of
+  /// the probe itself.
   void prefetch_set(u64 line_addr) const {
     DSS_PREFETCH(&ways_[static_cast<std::size_t>(set_of(line_addr)) *
                         cfg_.assoc]);

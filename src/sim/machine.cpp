@@ -58,15 +58,6 @@ MachineSim::MachineSim(const MachineConfig& cfg)
   }
 }
 
-template <bool kTimed>
-u64 MachineSim::translate(u32 proc, SimAddr addr, u32 len) {
-  if (tlbs_.empty()) return 0;
-  const u32 misses = tlbs_[proc].translate(addr, len);
-  if (!kTimed || misses == 0) return 0;
-  ctr(proc).tlb_misses += misses;
-  return u64{misses} * cfg_.tlb_miss_penalty;
-}
-
 void MachineSim::attach_counters(u32 proc, perf::Counters* c) {
   assert(proc < counters_.size());
   counters_[proc] = c;
@@ -246,145 +237,36 @@ void MachineSim::warm_access(u32 proc, AccessKind kind, SimAddr addr,
   }
 }
 
-void MachineSim::warm_batch(const BatchRef* refs, std::size_t n) {
-  if (!tlbs_.empty()) {
-    // TLB model active (execution-driven use): per-reference warming so the
-    // TLB state stays in sync. The replay machines run with the TLB handled
-    // in the compile pre-pass and take the unrolled loop below.
-    for (std::size_t i = 0; i < n; ++i) {
-      const BatchRef& r = refs[i];
-      warm_access(r.proc, static_cast<AccessKind>(r.len_kind & 3), r.addr,
-                  r.len_kind >> 2);
-    }
-    return;
-  }
-  switch (caches_[0][0].config().assoc) {
-    case 1: warm_plain<1>(refs, n); break;
-    case 2: warm_plain<2>(refs, n); break;
-    default: warm_plain<0>(refs, n); break;
-  }
+void MachineSim::prefetch_ahead(const BatchRef* refs, std::size_t i,
+                                std::size_t n) const {
+  // Software prefetch a fixed lookahead ahead in the stream: the way words
+  // of the future reference's L1 set and the directory slot of its unit.
+  // Advisory loads only — results are bit-identical without them.
+  if (i + kBatchPrefetchAhead >= n) return;
+  const BatchRef& f = refs[i + kBatchPrefetchAhead];
+  const u64 fline = f.addr >> caches_[f.proc][0].line_shift();
+  caches_[f.proc][0].prefetch_set(fline);
+  dir_.prefetch(unit_of_l1_line(fline));
 }
 
-template <u32 kAssoc>
-void MachineSim::warm_plain(const BatchRef* refs, std::size_t n) {
-  // The stripped access_batch: same L1-hit fast loop as batch_plain, but a
-  // hit updates nothing beyond the LRU touch the probe itself performs, and
-  // the miss path runs the untimed protocol. No counter is read or written
-  // anywhere below.
-  const u32 l1_shift = caches_[0][0].line_shift();
+void MachineSim::warm_batch(const BatchRef* refs, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + kBatchPrefetchAhead < n) {
-      const BatchRef& f = refs[i + kBatchPrefetchAhead];
-      const u64 fline = f.addr >> l1_shift;
-      caches_[f.proc][0].prefetch_set(fline);
-      dir_.prefetch(unit_of_l1_line(fline));
-    }
+    prefetch_ahead(refs, i, n);
     const BatchRef& r = refs[i];
-    const auto kind = static_cast<AccessKind>(r.len_kind & 3);
-    const u32 len = r.len_kind >> 2;
-    const u64 first = r.addr >> l1_shift;
-    if (((r.addr + len - 1) >> l1_shift) == first) {
-      SetAssocCache& l1 = caches_[r.proc][0];
-      std::optional<LineState> st;
-      if constexpr (kAssoc == 0) {
-        st = l1.lookup(first);
-      } else {
-        st = l1.lookup_fixed<kAssoc>(first);
-      }
-      if (st.has_value() &&
-          (kind == AccessKind::Read || *st == LineState::M)) {
-        continue;
-      }
-      (void)access_line<false>(r.proc, kind, first, st, 0);
-      continue;
-    }
-    const u64 last = (r.addr + len - 1) >> l1_shift;
-    SetAssocCache& l1 = caches_[r.proc][0];
-    for (u64 line = first; line <= last; ++line) {
-      (void)access_line<false>(r.proc, kind, line, l1.lookup(line), 0);
-    }
+    warm_access(r.proc, static_cast<AccessKind>(r.len_kind & 3), r.addr,
+                r.len_kind >> 2);
   }
 }
 
 void MachineSim::access_batch(const BatchRef* refs, std::size_t n) {
   const bool attrib = attrib_;
-  // Any per-reference hook (observer, trace capture, TLB model) forces the
-  // general path so the hook sees every reference; the fold below is exactly
-  // the one sim/batch.cpp's replay loop used to perform inline.
-  const bool plain = obs_ == nullptr && !trace_hook_ && tlbs_.empty();
-  if (!plain) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const BatchRef& r = refs[i];
-      const u64 stall = access(r.proc, static_cast<AccessKind>(r.len_kind & 3),
-                               r.addr, r.len_kind >> 2, 0);
-      if (stall == 0) continue;  // stall_parts is undefined (and all-zero)
-      perf::Counters& c = ctr(r.proc);
-      c.cycles += stall;
-      if (attrib) c.stack += parts_[r.proc];
-    }
-    return;
-  }
-  // Dispatch once per batch on the L1 associativity so the per-reference
-  // probe is fully unrolled for the two hardware geometries.
-  switch (caches_[0][0].config().assoc) {
-    case 1: batch_plain<1>(refs, n); break;
-    case 2: batch_plain<2>(refs, n); break;
-    default: batch_plain<0>(refs, n); break;
-  }
-}
-
-template <u32 kAssoc>
-void MachineSim::batch_plain(const BatchRef* refs, std::size_t n) {
-  const bool attrib = attrib_;
-  // All L1s share one geometry; hoist the line shift out of the loop.
-  const u32 l1_shift = caches_[0][0].line_shift();
   for (std::size_t i = 0; i < n; ++i) {
-    // Software prefetch a fixed lookahead ahead in the stream: the way
-    // words of the future reference's L1 set and the directory slot of its
-    // unit. Advisory loads only — results are bit-identical without them.
-    if (i + kBatchPrefetchAhead < n) {
-      const BatchRef& f = refs[i + kBatchPrefetchAhead];
-      const u64 fline = f.addr >> l1_shift;
-      caches_[f.proc][0].prefetch_set(fline);
-      dir_.prefetch(unit_of_l1_line(fline));
-    }
+    prefetch_ahead(refs, i, n);
     const BatchRef& r = refs[i];
-    const auto kind = static_cast<AccessKind>(r.len_kind & 3);
-    const u32 len = r.len_kind >> 2;
-    const u64 first = r.addr >> l1_shift;
-    perf::Counters& c = ctr(r.proc);
-    // Inline single-line L1-hit dispatch. Counter identity with access():
-    // a 0-stall hit returns 0 there and is not folded; an atomic hit's
-    // stall_parts is the penalty alone, so the single-component add below
-    // is that whole fold.
-    if (((r.addr + len - 1) >> l1_shift) == first) {
-      SetAssocCache& l1 = caches_[r.proc][0];
-      std::optional<LineState> st;
-      if constexpr (kAssoc == 0) {
-        st = l1.lookup(first);
-      } else {
-        st = l1.lookup_fixed<kAssoc>(first);
-      }
-      if (st.has_value() && (kind == AccessKind::Read || *st == LineState::M)) {
-        switch (kind) {
-          case AccessKind::Read:
-            ++c.loads;
-            continue;
-          case AccessKind::Write:
-            ++c.stores;
-            continue;
-          case AccessKind::Atomic:
-            ++c.atomics;
-            c.cycles += cfg_.atomic_penalty;
-            if (attrib) c.stack.atomics += cfg_.atomic_penalty;
-            continue;
-        }
-      }
-    }
-    // Miss, upgrade, or multi-line reference: full protocol path. The extra
-    // LRU touch from the probe above is idempotent (access() re-probes).
-    const u64 stall = access(r.proc, kind, r.addr, len, 0);
+    const u64 stall = access(r.proc, static_cast<AccessKind>(r.len_kind & 3),
+                             r.addr, r.len_kind >> 2, 0);
     if (stall == 0) continue;  // stall_parts is undefined (and all-zero)
+    perf::Counters& c = ctr(r.proc);
     c.cycles += stall;
     if (attrib) c.stack += parts_[r.proc];
   }

@@ -194,13 +194,10 @@ class MachineSim {
   /// Issue a batch of references (at now = 0, the replay convention: no
   /// component reads absolute time) and fold each nonzero stall into the
   /// attached counters — `cycles += stall` plus, under attribution,
-  /// `stack += stall_parts`. Counters after the call are bit-identical to a
-  /// per-reference access() loop doing the same fold; the batched form
-  /// exists because the per-reference loop pays a call and the general
-  /// dispatch on every L1 hit, where this dispatches hits inline and
-  /// touches only the counter fields a hit can change. With an
-  /// observer, trace hook, or TLB model active every reference takes the
-  /// general path (identical results, every hook still fires).
+  /// `stack += stall_parts`. It is a loop over access(), so every hook
+  /// (observer, trace capture, TLB model) sees each reference; the loop
+  /// only adds a software prefetch of the L1 set and directory slot a fixed
+  /// number of references ahead.
   void access_batch(const BatchRef* refs, std::size_t n);
 
   /// Functional warming (DESIGN.md §12): apply a batch of references to the
@@ -209,7 +206,8 @@ class MachineSim {
   /// resulting simulator state is bit-identical to what access_batch would
   /// have produced (state transitions never depend on computed latencies),
   /// at a fraction of the cost: the sampling driver interleaves this with
-  /// detailed measurement windows.
+  /// detailed measurement windows. The same prefetching loop as
+  /// access_batch, over warm_access().
   void warm_batch(const BatchRef* refs, std::size_t n);
 
   /// Single-reference functional warming (the execution-driven analogue of
@@ -345,15 +343,9 @@ class MachineSim {
   u64 access_line(u32 proc, AccessKind kind, u64 l1_line,
                   std::optional<LineState> l1_st, u64 now);
 
-  /// Hook-free body of access_batch(), dispatched once per batch on the L1
-  /// associativity (0 = generic probe) so the per-reference L1 probe is
-  /// fully unrolled for the two hardware geometries.
-  template <u32 kAssoc>
-  void batch_plain(const BatchRef* refs, std::size_t n);
-
-  /// Hook-free body of warm_batch(), same dispatch scheme.
-  template <u32 kAssoc>
-  void warm_plain(const BatchRef* refs, std::size_t n);
+  /// Advisory prefetch for the batch loops: the L1 set and directory slot
+  /// of refs[i + lookahead], when that reference exists.
+  void prefetch_ahead(const BatchRef* refs, std::size_t i, std::size_t n) const;
 
   /// Body of access() past the sampler dispatch (the detailed path).
   u64 access_detailed(u32 proc, AccessKind kind, SimAddr addr, u32 len,
@@ -377,9 +369,17 @@ class MachineSim {
 
   /// Translate an access's pages through proc's data TLB; returns exposed
   /// refill cycles (0 when the TLB model is disabled). The untimed variant
-  /// still refills the TLB (warm state) but charges nothing.
+  /// still refills the TLB (warm state) but charges nothing. Defined inline:
+  /// every reference calls it, and most calls end at the TLB's inline
+  /// MRU-page test.
   template <bool kTimed>
-  u64 translate(u32 proc, SimAddr addr, u32 len);
+  u64 translate(u32 proc, SimAddr addr, u32 len) {
+    if (tlbs_.empty()) return 0;
+    const u32 misses = tlbs_[proc].translate(addr, len);
+    if (!kTimed || misses == 0) return 0;
+    ctr(proc).tlb_misses += misses;
+    return u64{misses} * cfg_.tlb_miss_penalty;
+  }
 
   /// MemBucket -> CpiStack component of `s`.
   static u64& bucket_part(perf::CpiStack& s, MemBucket b);

@@ -48,6 +48,7 @@ bool TraceWriter::save(const std::string& path) const {
 }
 
 bool TraceReader::load(const std::string& path) {
+  records_.clear();
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
   char magic[8];
@@ -55,14 +56,27 @@ bool TraceReader::load(const std::string& path) {
             std::memcmp(magic, kMagic, sizeof magic) == 0;
   u64 n = 0;
   ok = ok && std::fread(&n, sizeof n, 1, f) == 1;
-  if (ok) {
+  // The header count is untrusted: check it against the bytes the file
+  // actually holds before allocating anything for it.
+  const long header_end = ok ? std::ftell(f) : -1;
+  ok = ok && header_end >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+  const long file_end = ok ? std::ftell(f) : -1;
+  ok = ok && file_end >= header_end &&
+       n <= static_cast<u64>(file_end - header_end) / kTraceRecordBytes &&
+       std::fseek(f, header_end, SEEK_SET) == 0;
+  if (ok && n != 0) {
+    std::vector<unsigned char> wire(n * kTraceRecordBytes);
+    ok = std::fread(wire.data(), kTraceRecordBytes, n, f) == n;
     records_.resize(n);
-    if (n != 0) {
-      std::vector<unsigned char> wire(n * kTraceRecordBytes);
-      ok = std::fread(wire.data(), kTraceRecordBytes, n, f) == n;
-      for (u64 i = 0; ok && i < n; ++i) {
-        decode(wire.data() + i * kTraceRecordBytes, records_[i]);
-      }
+    for (u64 i = 0; ok && i < n; ++i) {
+      TraceRecord& r = records_[i];
+      decode(wire.data() + i * kTraceRecordBytes, r);
+      // A zero length has no last byte (the machine's line loop would run
+      // from the first line to address -1), nor has a reference that wraps
+      // past the top of the address space (it would touch no line at all);
+      // kinds stop at Atomic.
+      ok = r.len != 0 && r.addr + (r.len - 1) >= r.addr &&
+           r.kind <= static_cast<u8>(AccessKind::Atomic);
     }
   }
   std::fclose(f);

@@ -1,11 +1,12 @@
 // Fixture: allocation and container growth inside a hot-path function are
-// findings. `lookup_fixed` is hot by name; `probe` is hot via the marker.
+// findings. `classify_and_fill` is hot by name; `probe` is hot via the
+// marker.
 #include <memory>
 #include <vector>
 
 class Cache {
  public:
-  int lookup_fixed(int key) {
+  int classify_and_fill(int key) {
     history_.push_back(key);
     return key * 2;
   }

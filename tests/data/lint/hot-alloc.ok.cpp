@@ -7,7 +7,9 @@ class Cache {
  public:
   void warm(int key) { history_.push_back(key); }
 
-  int lookup_fixed(int key) const { return history_[key % history_.size()]; }
+  int classify_and_fill(int key) const {
+    return history_[key % history_.size()];
+  }
 
  private:
   std::vector<int> history_;

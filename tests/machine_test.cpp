@@ -8,6 +8,7 @@
 #include "perf/counters.hpp"
 #include "sim/machine.hpp"
 #include "sim/machine_configs.hpp"
+#include "sim/refstream.hpp"
 #include "util/rng.hpp"
 
 namespace dss::sim {
@@ -380,6 +381,78 @@ TEST(Machine, ScaledConfigsPreserveGeometryRules) {
     m1.attach_counters(0, &c);
     (void)m1.access(0, AccessKind::Read, kSharedBase, 8, 0);
     EXPECT_TRUE(m1.check_invariants());
+  }
+}
+
+/// BatchRefs of `recs[lo, hi)`, as the replay compile pass packs them.
+std::vector<BatchRef> batch_refs(const std::vector<TraceRecord>& recs,
+                                 std::size_t lo, std::size_t hi) {
+  std::vector<BatchRef> out;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const TraceRecord& r = recs[i];
+    out.push_back(BatchRef{r.addr, r.proc, (r.len << 2) | r.kind});
+  }
+  return out;
+}
+
+TEST(Machine, WarmBatchLeavesTheStateAccessBatchLeaves) {
+  // Functional warming must leave every cache, directory, LRU, TLB and
+  // miss-history entry where the detailed loop would: after a prefix run
+  // through warm_batch on one machine and access_batch on another, the
+  // same detailed suffix counts the same events on both. (No epoch rolls,
+  // so the memory controller's queueing estimate stays zero on both.)
+  RefStreamConfig rc;
+  rc.pattern = RefPattern::kMixed;
+  rc.records = 60'000;
+  rc.footprint_bytes = u64{256} << 10;
+  const auto recs = make_refstream(rc);
+  const std::vector<BatchRef> prefix = batch_refs(recs, 0, 40'000);
+  const std::vector<BatchRef> suffix = batch_refs(recs, 40'000, recs.size());
+  for (const MachineConfig& cfg :
+       {vclass().scaled(64), origin2000().scaled(64)}) {
+    SCOPED_TRACE(cfg.name);
+    MachineSim warmed(cfg), detailed(cfg);
+    std::vector<perf::Counters> scratch(cfg.num_processors);
+    for (u32 p = 0; p < cfg.num_processors; ++p) {
+      detailed.attach_counters(p, &scratch[p]);
+    }
+    warmed.warm_batch(prefix.data(), prefix.size());
+    detailed.access_batch(prefix.data(), prefix.size());
+
+    std::vector<perf::Counters> a(cfg.num_processors), b(cfg.num_processors);
+    for (u32 p = 0; p < cfg.num_processors; ++p) {
+      warmed.attach_counters(p, &a[p]);
+      detailed.attach_counters(p, &b[p]);
+    }
+    warmed.access_batch(suffix.data(), suffix.size());
+    detailed.access_batch(suffix.data(), suffix.size());
+    u64 misses = 0;
+    for (u32 p = 0; p < cfg.num_processors; ++p) {
+      SCOPED_TRACE(p);
+      misses += b[p].l1d_misses;
+      EXPECT_EQ(a[p].cycles, b[p].cycles);
+      EXPECT_EQ(a[p].loads, b[p].loads);
+      EXPECT_EQ(a[p].stores, b[p].stores);
+      EXPECT_EQ(a[p].atomics, b[p].atomics);
+      EXPECT_EQ(a[p].l1d_misses, b[p].l1d_misses);
+      EXPECT_EQ(a[p].l2d_misses, b[p].l2d_misses);
+      EXPECT_EQ(a[p].dirty_misses, b[p].dirty_misses);
+      EXPECT_EQ(a[p].cache_interventions, b[p].cache_interventions);
+      EXPECT_EQ(a[p].invalidations_recv, b[p].invalidations_recv);
+      EXPECT_EQ(a[p].upgrades, b[p].upgrades);
+      EXPECT_EQ(a[p].writebacks, b[p].writebacks);
+      EXPECT_EQ(a[p].tlb_misses, b[p].tlb_misses);
+      EXPECT_EQ(a[p].mem_requests, b[p].mem_requests);
+      EXPECT_EQ(a[p].mem_latency_cycles, b[p].mem_latency_cycles);
+      EXPECT_EQ(a[p].remote_accesses, b[p].remote_accesses);
+      EXPECT_EQ(a[p].l1_miss_causes.by_cause, b[p].l1_miss_causes.by_cause);
+      EXPECT_EQ(a[p].l2_miss_causes.by_cause, b[p].l2_miss_causes.by_cause);
+      EXPECT_EQ(a[p].obj_misses, b[p].obj_misses);
+      EXPECT_EQ(a[p].stack.tlb, b[p].stack.tlb);
+      EXPECT_EQ(a[p].stack.mem_stall(), b[p].stack.mem_stall());
+    }
+    EXPECT_GT(misses, 0u) << "the suffix must exercise the miss path";
+    EXPECT_TRUE(warmed.check_invariants());
   }
 }
 

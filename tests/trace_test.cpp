@@ -57,6 +57,20 @@ TEST(Trace, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// A one-record trace file (41 bytes) with `len` bytes at `offset`
+/// overwritten by `value`'s low bytes.
+void write_patched_trace(const std::string& path, std::size_t offset,
+                         u64 value, std::size_t len) {
+  TraceWriter w;
+  w.record(0, AccessKind::Read, kSharedBase, 8, 1);
+  ASSERT_TRUE(w.save(path));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, len, 1, f), 1u);
+  std::fclose(f);
+}
+
 TEST(Trace, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/bad.dsstrace";
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -66,6 +80,32 @@ TEST(Trace, LoadRejectsGarbage) {
   EXPECT_FALSE(rd.load(path));
   EXPECT_TRUE(rd.records().empty());
   EXPECT_FALSE(rd.load(path + ".does.not.exist"));
+
+  // The unpatched file loads; each hostile patch of it is refused with no
+  // records left behind. Header: magic @0, count @8; the record at @16 has
+  // kind @20, len @21 and addr @25.
+  write_patched_trace(path, 20, 0, 1);
+  ASSERT_TRUE(rd.load(path));
+  ASSERT_EQ(rd.records().size(), 1u);
+  struct Patch {
+    const char* what;
+    std::size_t offset;
+    u64 value;
+    std::size_t len;
+  };
+  for (const Patch& p : {
+           // A count no 41-byte file can hold: refused before allocating.
+           Patch{"count 2^60", 8, u64{1} << 60, 8},
+           Patch{"count 2", 8, 2, 8},
+           Patch{"kind 3", 20, 3, 1},
+           Patch{"len 0", 21, 0, 4},
+           Patch{"addr wraps", 25, ~u64{0} - 3, 8},
+       }) {
+    SCOPED_TRACE(p.what);
+    write_patched_trace(path, p.offset, p.value, p.len);
+    EXPECT_FALSE(rd.load(path));
+    EXPECT_TRUE(rd.records().empty());
+  }
   std::remove(path.c_str());
 }
 

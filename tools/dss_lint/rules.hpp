@@ -49,14 +49,11 @@ struct AnalysisOptions {
   /// pool-worker entry points (pipeline_worker runs shards there;
   /// compile_trace and route_shards run their chunked scans there).
   std::vector<std::string> shard_roots = {
-      "access_batch",  "batch_plain",     "replay_batched",
-      "warm_batch",    "warm_plain",      "warm_access",
-      "sample_replay", "pipeline_worker", "compile_trace",
-      "route_shards"};
+      "access_batch",  "replay_batched",  "warm_batch",    "warm_access",
+      "sample_replay", "pipeline_worker", "compile_trace", "route_shards"};
   /// Functions whose bodies the hot-alloc rule bans allocation in (the
   /// `// dss-lint: hot-path` marker extends this per definition site).
-  std::vector<std::string> hot_functions = {"lookup_fixed",
-                                            "classify_and_fill"};
+  std::vector<std::string> hot_functions = {"classify_and_fill"};
 };
 
 struct AnalysisResult {
