@@ -16,6 +16,7 @@
 // interleaving.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <span>
@@ -122,7 +123,49 @@ struct RunResult {
   double ci_l1d_per_minstr = 0;
   double ci_l2d_per_minstr = 0;
   double ci_avg_mem_latency = 0;
+
+  /// The cell's "sample" object: calls `f(key, member)` for each member,
+  /// in export order. The writer and the schema check both walk it.
+  template <class R, class F>
+  static void visit_sample(R& r, F&& f) {
+    f("unit_records", r.sample_unit_records);
+    f("detail_every", r.sample_detail_every);
+    f("warmup_records", r.sample_warmup_records);
+    f("total_refs", r.sample_total_refs);
+    f("detailed_refs", r.sample_detailed_refs);
+    f("measured_refs", r.sample_measured_refs);
+    f("windows", r.sample_windows);
+  }
 };
+
+/// One exported metric: its key in the cell's "metrics" object, the
+/// RunResult member, and the member holding its 95% half-width in
+/// "metric_ci" (nullptr: the metric has no CI).
+struct ExportedMetric {
+  const char* name;
+  double RunResult::*value;
+  double RunResult::*ci;
+};
+
+/// Every exported metric, in export order.
+inline constexpr std::array<ExportedMetric, 11> kExportedMetrics{{
+    {"thread_time_cycles", &RunResult::thread_time_cycles,
+     &RunResult::ci_thread_time_cycles},
+    {"cpi", &RunResult::cpi, &RunResult::ci_cpi},
+    {"cycles_per_minstr", &RunResult::cycles_per_minstr,
+     &RunResult::ci_cycles_per_minstr},
+    {"l1d_misses", &RunResult::l1d_misses, &RunResult::ci_l1d_misses},
+    {"l2d_misses", &RunResult::l2d_misses, &RunResult::ci_l2d_misses},
+    {"l1d_per_minstr", &RunResult::l1d_per_minstr,
+     &RunResult::ci_l1d_per_minstr},
+    {"l2d_per_minstr", &RunResult::l2d_per_minstr,
+     &RunResult::ci_l2d_per_minstr},
+    {"avg_mem_latency", &RunResult::avg_mem_latency,
+     &RunResult::ci_avg_mem_latency},
+    {"vol_ctx_per_minstr", &RunResult::vol_ctx_per_minstr, nullptr},
+    {"invol_ctx_per_minstr", &RunResult::invol_ctx_per_minstr, nullptr},
+    {"wall_seconds", &RunResult::wall_seconds, nullptr},
+}};
 
 /// The one counters-to-RunResult derivation. `sum` is the counters summed
 /// over `samples` per-process measurements, whose avg_mem_latency() values

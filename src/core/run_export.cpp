@@ -7,8 +7,8 @@
 #include <limits>
 #include <map>
 #include <ostream>
-#include <span>
 #include <sstream>
+#include <type_traits>
 
 namespace dss::core {
 
@@ -34,10 +34,10 @@ class ObjWriter {
     for (int i = 0; i < indent_ + 2; ++i) os_ << ' ';
     os_ << '"' << util::json_escape(k) << "\": ";
   }
-  void num(const std::string& k, double v) { key(k); os_ << fmt_double(v); }
-  void num(const std::string& k, u64 v) { key(k); os_ << v; }
-  void num(const std::string& k, u32 v) { key(k); os_ << v; }
-  void str(const std::string& k, const std::string& v) {
+  void put(const std::string& k, double v) { key(k); os_ << fmt_double(v); }
+  void put(const std::string& k, u64 v) { key(k); os_ << v; }
+  void put(const std::string& k, u32 v) { key(k); os_ << v; }
+  void put(const std::string& k, const std::string& v) {
     key(k);
     os_ << '"' << util::json_escape(v) << '"';
   }
@@ -63,139 +63,66 @@ void write_breakdown(std::ostream& os, int indent,
                      const perf::MissBreakdown& b) {
   ObjWriter w(os, indent);
   for (u32 i = 0; i < perf::kNumMissCauses; ++i) {
-    w.num(perf::miss_cause_name(static_cast<perf::MissCause>(i)),
+    w.put(perf::miss_cause_name(static_cast<perf::MissCause>(i)),
           b.by_cause[i]);
   }
   w.close();
 }
 
-void write_counters(std::ostream& os, int indent, const perf::Counters& c) {
+/// One object holding the members `fields` lists of `s`, in table order.
+template <class S, std::size_t N>
+void write_fields(std::ostream& os, int indent, const S& s,
+                  const std::array<perf::CounterField<S>, N>& fields) {
   ObjWriter w(os, indent);
-  w.num("cycles", c.cycles);
-  w.num("instructions", c.instructions);
-  w.num("spin_cycles", c.spin_cycles);
-  w.num("loads", c.loads);
-  w.num("stores", c.stores);
-  w.num("atomics", c.atomics);
-  w.num("l1d_misses", c.l1d_misses);
-  w.num("l2d_misses", c.l2d_misses);
-  w.num("dirty_misses", c.dirty_misses);
-  w.num("cache_interventions", c.cache_interventions);
-  w.num("invalidations_recv", c.invalidations_recv);
-  w.num("upgrades", c.upgrades);
-  w.num("writebacks", c.writebacks);
-  w.num("migratory_transfers", c.migratory_transfers);
-  w.num("tlb_misses", c.tlb_misses);
-  w.num("mem_requests", c.mem_requests);
-  w.num("mem_latency_cycles", c.mem_latency_cycles);
-  w.num("remote_accesses", c.remote_accesses);
-  w.num("vol_ctx_switches", c.vol_ctx_switches);
-  w.num("invol_ctx_switches", c.invol_ctx_switches);
-  w.num("select_sleeps", c.select_sleeps);
-  w.num("lock_acquires", c.lock_acquires);
-  w.num("lock_collisions", c.lock_collisions);
-  w.num("buffer_pins", c.buffer_pins);
-  w.num("tuples_scanned", c.tuples_scanned);
-  w.num("index_descents", c.index_descents);
-  w.close();
-}
-
-void write_stack(std::ostream& os, int indent, const perf::CpiStack& s) {
-  ObjWriter w(os, indent);
-  w.num("compute", s.compute);
-  w.num("spin", s.spin);
-  w.num("sched", s.sched);
-  w.num("tlb", s.tlb);
-  w.num("atomics", s.atomics);
-  w.num("l2_hit", s.l2_hit);
-  w.num("mem_local", s.mem_local);
-  w.num("mem_remote_near", s.mem_remote_near);
-  w.num("mem_remote_mid", s.mem_remote_mid);
-  w.num("mem_remote_far", s.mem_remote_far);
-  w.num("intervention", s.intervention);
+  for (const auto& f : fields) w.put(f.name, s.*f.member);
   w.close();
 }
 
 void write_cell(std::ostream& os, int indent, const ExportCell& cell) {
-  const perf::Counters& c = cell.result.mean;
+  const RunResult& r = cell.result;
+  const perf::Counters& c = r.mean;
   ObjWriter w(os, indent);
-  w.str("platform", cell.platform);
-  w.str("query", cell.query);
-  w.num("nproc", cell.nproc);
-  w.num("trials", cell.trials);
-  w.str("variant", cell.variant);
+  w.put("platform", cell.platform);
+  w.put("query", cell.query);
+  w.put("nproc", cell.nproc);
+  w.put("trials", cell.trials);
+  w.put("variant", cell.variant);
   w.boolean("check", cell.check);
   w.key("metrics");
   {
     ObjWriter m(os, indent + 2);
-    m.num("thread_time_cycles", cell.result.thread_time_cycles);
-    m.num("cpi", cell.result.cpi);
-    m.num("cycles_per_minstr", cell.result.cycles_per_minstr);
-    m.num("l1d_misses", cell.result.l1d_misses);
-    m.num("l2d_misses", cell.result.l2d_misses);
-    m.num("l1d_per_minstr", cell.result.l1d_per_minstr);
-    m.num("l2d_per_minstr", cell.result.l2d_per_minstr);
-    m.num("avg_mem_latency", cell.result.avg_mem_latency);
-    m.num("vol_ctx_per_minstr", cell.result.vol_ctx_per_minstr);
-    m.num("invol_ctx_per_minstr", cell.result.invol_ctx_per_minstr);
-    m.num("wall_seconds", cell.result.wall_seconds);
+    for (const ExportedMetric& e : kExportedMetrics) m.put(e.name, r.*e.value);
     m.close();
   }
   if (cell.serving.has_value()) {
-    const ServingStats& sv = *cell.serving;
     w.key("serving");
-    {
-      ObjWriter s(os, indent + 2);
-      s.str("arrival", sv.arrival);
-      s.num("sessions", sv.sessions);
-      s.num("cpus", sv.cpus);
-      s.num("queries_per_session", sv.queries_per_session);
-      s.num("queries", sv.queries);
-      s.num("think_time_ms", sv.think_time_ms);
-      s.num("target_load", sv.target_load);
-      s.num("offered_qps", sv.offered_qps);
-      s.num("achieved_qph", sv.achieved_qph);
-      s.num("mean_concurrency", sv.mean_concurrency);
-      s.num("p50_ms", sv.p50_ms);
-      s.num("p95_ms", sv.p95_ms);
-      s.num("p99_ms", sv.p99_ms);
-      s.num("mean_ms", sv.mean_ms);
-      s.num("max_ms", sv.max_ms);
-      s.num("queue_p99_ms", sv.queue_p99_ms);
-      s.num("max_queue_depth", sv.max_queue_depth);
-      s.num("metrics_nproc", sv.metrics_nproc);
-      s.close();
-    }
+    ObjWriter s(os, indent + 2);
+    ServingStats::visit(*cell.serving,
+                        [&s](const char* k, const auto& v, ServingDir) {
+                          s.put(k, v);
+                        });
+    s.close();
   }
-  if (cell.result.sampled) {
+  if (r.sampled) {
     w.key("sample");
     {
       ObjWriter s(os, indent + 2);
-      s.num("unit_records", cell.result.sample_unit_records);
-      s.num("detail_every", cell.result.sample_detail_every);
-      s.num("warmup_records", cell.result.sample_warmup_records);
-      s.num("total_refs", cell.result.sample_total_refs);
-      s.num("detailed_refs", cell.result.sample_detailed_refs);
-      s.num("measured_refs", cell.result.sample_measured_refs);
-      s.num("windows", cell.result.sample_windows);
+      RunResult::visit_sample(r, [&s](const char* k, const auto& v) {
+        s.put(k, v);
+      });
       s.close();
     }
     w.key("metric_ci");
     {
       ObjWriter s(os, indent + 2);
-      s.num("thread_time_cycles", cell.result.ci_thread_time_cycles);
-      s.num("cpi", cell.result.ci_cpi);
-      s.num("cycles_per_minstr", cell.result.ci_cycles_per_minstr);
-      s.num("l1d_misses", cell.result.ci_l1d_misses);
-      s.num("l2d_misses", cell.result.ci_l2d_misses);
-      s.num("l1d_per_minstr", cell.result.ci_l1d_per_minstr);
-      s.num("l2d_per_minstr", cell.result.ci_l2d_per_minstr);
-      s.num("avg_mem_latency", cell.result.ci_avg_mem_latency);
+      for (const ExportedMetric& e : kExportedMetrics) {
+        if (e.ci != nullptr) s.put(e.name, r.*e.ci);
+      }
       s.close();
     }
   }
   w.key("counters");
-  write_counters(os, indent + 2, c);
+  write_fields(os, indent + 2, c, perf::kCounterFields);
   w.key("miss_causes");
   {
     ObjWriter m(os, indent + 2);
@@ -211,14 +138,14 @@ void write_cell(std::ostream& os, int indent, const ExportCell& cell) {
     for (u32 i = 0; i < perf::kNumObjClasses; ++i) {
       m.key(perf::obj_class_name(static_cast<perf::ObjClass>(i)));
       ObjWriter o(os, indent + 4);
-      o.num("total", c.obj_misses[i]);
-      o.num("comm", c.obj_comm_misses[i]);
+      o.put("total", c.obj_misses[i]);
+      o.put("comm", c.obj_comm_misses[i]);
       o.close();
     }
     m.close();
   }
   w.key("cpi_stack");
-  write_stack(os, indent + 2, c.stack);
+  write_fields(os, indent + 2, c.stack, perf::kCpiStackFields);
   w.close();
 }
 
@@ -234,10 +161,10 @@ std::string cell_label(const std::string& platform, const std::string& query,
 
 void write_metrics_json(std::ostream& os, const MetricsDoc& doc) {
   ObjWriter w(os, 0);
-  w.num("schema_version", kMetricsSchemaVersion);
-  w.str("bench", doc.bench);
-  w.num("scale_denom", doc.scale_denom);
-  w.num("seed", doc.seed);
+  w.put("schema_version", kMetricsSchemaVersion);
+  w.put("bench", doc.bench);
+  w.put("scale_denom", doc.scale_denom);
+  w.put("seed", doc.seed);
   w.key("cells");
   os << "[";
   for (std::size_t i = 0; i < doc.cells.size(); ++i) {
@@ -289,21 +216,44 @@ void check_all_numbers(std::vector<std::string>& problems,
   }
 }
 
-/// Members a report reads from the optional "sample" and "serving" objects.
-constexpr const char* kSampleKeys[] = {"unit_records",  "detail_every",
-                                       "warmup_records", "total_refs",
-                                       "detailed_refs", "windows"};
-constexpr const char* kServingKeys[] = {
-    "sessions",     "queries_per_session", "cpus",         "target_load",
-    "offered_qps",  "achieved_qph",        "mean_concurrency",
-    "metrics_nproc", "p50_ms",             "p95_ms",       "p99_ms",
-    "mean_ms",      "max_ms",              "queue_p99_ms"};
+/// A count member (a cell's nproc, a serving object's sessions, ...) is
+/// read back into a u32, so it must be an integer that fits one.
+void require_count(std::vector<std::string>& problems, const util::Json& obj,
+                   const std::string& key, const std::string& ctx) {
+  const util::Json* v = obj.get(key);
+  if (v == nullptr) {
+    problems.push_back(ctx + ": missing \"" + key + "\"");
+  } else if (!v->is_number() || !(v->as_number() >= 0.0) ||
+             v->as_number() > std::numeric_limits<u32>::max() ||
+             v->as_number() != std::floor(v->as_number())) {
+    problems.push_back(ctx + ": \"" + key +
+                       "\" is not an integer in [0, 4294967295]");
+  }
+}
 
-void require_keys(std::vector<std::string>& problems, const util::Json& obj,
-                  std::span<const char* const> keys, const std::string& ctx) {
-  for (const char* k : keys) {
-    if (obj.get(k) == nullptr) {
+/// Checks an optional per-cell object against the visitor of the struct it
+/// is written from (`visit(f)` calls `f(key, member, ...)` per member):
+/// every visited key is present, a string member is a string, a u32 member
+/// a count, and every other member, visited or not, a number.
+template <class Visit>
+void check_visited(std::vector<std::string>& problems, const util::Json& obj,
+                   const std::string& ctx, Visit&& visit) {
+  std::vector<std::string> strings;
+  visit([&](const char* k, const auto& v, auto&&...) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      strings.emplace_back(k);
+      get_typed(problems, obj, k, util::Json::Type::String, ctx);
+    } else if constexpr (std::is_same_v<T, u32>) {
+      require_count(problems, obj, k, ctx);
+    } else if (obj.get(k) == nullptr) {
       problems.push_back(ctx + ": missing \"" + std::string(k) + "\"");
+    }
+  });
+  for (const auto& [k, v] : obj.as_object()) {
+    if (!v.is_number() &&
+        std::find(strings.begin(), strings.end(), k) == strings.end()) {
+      problems.push_back(ctx + ": \"" + k + "\" is not a number");
     }
   }
 }
@@ -341,8 +291,8 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
     }
     get_typed(problems, cell, "platform", util::Json::Type::String, ctx);
     get_typed(problems, cell, "query", util::Json::Type::String, ctx);
-    get_typed(problems, cell, "nproc", util::Json::Type::Number, ctx);
-    get_typed(problems, cell, "trials", util::Json::Type::Number, ctx);
+    require_count(problems, cell, "nproc", ctx);
+    require_count(problems, cell, "trials", ctx);
     get_typed(problems, cell, "variant", util::Json::Type::String, ctx);
     if (cell.get("check") != nullptr) {
       get_typed(problems, cell, "check", util::Json::Type::Bool, ctx);
@@ -351,39 +301,27 @@ std::vector<std::string> check_metrics_schema(const util::Json& doc) {
                                         util::Json::Type::Object, ctx)) {
       check_all_numbers(problems, *m, ctx + ".metrics");
     }
-    // Optional v4 member, present only on serving cells: "arrival" is a
-    // string ("closed"/"open"), every other member is a number, and every
-    // member a report prints must be there.
-    if (const util::Json* sv = cell.get("serving")) {
-      if (!sv->is_object()) {
-        problems.push_back(ctx + ": \"serving\" has the wrong type");
-      } else {
-        get_typed(problems, *sv, "arrival", util::Json::Type::String,
-                  ctx + ".serving");
-        for (const auto& [k, v] : sv->as_object()) {
-          if (k == "arrival") continue;
-          if (!v.is_number()) {
-            problems.push_back(ctx + ".serving: \"" + k +
-                               "\" is not a number");
-          }
-        }
-        require_keys(problems, *sv, kServingKeys, ctx + ".serving");
-      }
+    // Optional members: "serving" on serving cells (v4), "sample" and
+    // "metric_ci" on sampled cells (v3). The first two must hold every
+    // member their structs write, since a report prints them.
+    const auto optional = [&](const char* key) {
+      return cell.get(key) == nullptr
+                 ? nullptr
+                 : get_typed(problems, cell, key, util::Json::Type::Object,
+                             ctx);
+    };
+    if (const util::Json* m = optional("serving")) {
+      const ServingStats shape;
+      check_visited(problems, *m, ctx + ".serving",
+                    [&](auto&& f) { ServingStats::visit(shape, f); });
     }
-    // Optional v3 members, present only on sampled cells.
-    for (const char* opt : {"sample", "metric_ci"}) {
-      if (const util::Json* m = cell.get(opt)) {
-        if (!m->is_object()) {
-          problems.push_back(ctx + ": \"" + std::string(opt) +
-                             "\" has the wrong type");
-        } else {
-          check_all_numbers(problems, *m, ctx + "." + std::string(opt));
-        }
-      }
+    if (const util::Json* m = optional("sample")) {
+      const RunResult shape;
+      check_visited(problems, *m, ctx + ".sample",
+                    [&](auto&& f) { RunResult::visit_sample(shape, f); });
     }
-    const util::Json* sample = cell.get("sample");
-    if (sample != nullptr && sample->is_object()) {
-      require_keys(problems, *sample, kSampleKeys, ctx + ".sample");
+    if (const util::Json* m = optional("metric_ci")) {
+      check_all_numbers(problems, *m, ctx + ".metric_ci");
     }
     if (const util::Json* m = get_typed(problems, cell, "counters",
                                         util::Json::Type::Object, ctx)) {
@@ -426,20 +364,41 @@ std::vector<MetricDelta> DiffReport::regressions() const {
 
 namespace {
 
-/// Gate direction of one serving-object metric. Latency tails and queue
-/// depth are higher-is-worse, throughput is lower-is-worse; configuration
-/// echoes (sessions, target_load, ...) and descriptive statistics
-/// (mean_concurrency, offered_qps) are informational.
-enum class ServingDir { kHigherWorse, kLowerWorse, kInfo };
+/// True when `opts.only_metrics` lets `metric` through.
+bool selected(const DiffOptions& opts, const std::string& metric) {
+  return opts.only_metrics.empty() ||
+         std::find(opts.only_metrics.begin(), opts.only_metrics.end(),
+                   metric) != opts.only_metrics.end();
+}
 
-ServingDir serving_direction(const std::string& key) {
-  if (key == "p50_ms" || key == "p95_ms" || key == "p99_ms" ||
-      key == "mean_ms" || key == "max_ms" || key == "queue_p99_ms" ||
-      key == "max_queue_depth") {
-    return ServingDir::kHigherWorse;
+MetricDelta make_delta(const std::string& label, const std::string& metric,
+                       const util::Json& before, const util::Json& after) {
+  MetricDelta d;
+  d.cell = label;
+  d.metric = metric;
+  d.before = before.as_number();
+  d.after = after.as_number();
+  if (d.before != 0.0) {
+    d.rel = (d.after - d.before) / d.before;
+  } else if (d.after != 0.0) {
+    d.rel = std::numeric_limits<double>::infinity();
   }
-  if (key == "achieved_qph") return ServingDir::kLowerWorse;
-  return ServingDir::kInfo;
+  return d;
+}
+
+/// One comparison error per selected key of `in` that `other` lacks.
+void report_one_sided(DiffReport& rep, const std::string& label,
+                      const util::Json& in, const util::Json& other,
+                      const std::string& prefix, const char* missing_from,
+                      const DiffOptions& opts) {
+  for (const auto& [key, v] : in.as_object()) {
+    (void)v;
+    const std::string metric = prefix + key;
+    if (selected(opts, metric) && other.get(key) == nullptr) {
+      rep.errors.push_back("cell " + label + ": metric " + metric +
+                           " missing from the " + missing_from + " run");
+    }
+  }
 }
 
 /// Compare the optional per-cell "serving" objects. Serving numbers are
@@ -456,45 +415,29 @@ void diff_serving(DiffReport& rep, const std::string& label,
                          (as != nullptr ? "before" : "after") + " run");
     return;
   }
+  report_one_sided(rep, label, *as, *bs, "serving.", "after", opts);
+  report_one_sided(rep, label, *bs, *as, "serving.", "before", opts);
+  const ServingStats shape;
   for (const auto& [key, av] : as->as_object()) {
     const std::string metric = "serving." + key;
-    if (!opts.only_metrics.empty() &&
-        std::find(opts.only_metrics.begin(), opts.only_metrics.end(),
-                  metric) == opts.only_metrics.end()) {
-      continue;
-    }
     const util::Json* bv = bs->get(key);
-    if (bv == nullptr) {
-      rep.errors.push_back("cell " + label + ": metric " + metric +
-                           " missing from the after run");
-      continue;
-    }
-    if (key == "arrival") {
+    if (!selected(opts, metric) || bv == nullptr) continue;
+    if (av.is_string()) {
       if (av.as_string() != bv->as_string()) {
-        rep.errors.push_back("cell " + label + ": arrival mode differs (" +
+        rep.errors.push_back("cell " + label + ": " + metric + " differs (" +
                              av.as_string() + " vs " + bv->as_string() + ")");
       }
       continue;
     }
-    MetricDelta d;
-    d.cell = label;
-    d.metric = metric;
-    d.before = av.as_number();
-    d.after = bv->as_number();
-    if (d.before != 0.0) {
-      d.rel = (d.after - d.before) / d.before;
-    } else if (d.after != 0.0) {
-      d.rel = std::numeric_limits<double>::infinity();
-    }
-    switch (serving_direction(key)) {
-      case ServingDir::kHigherWorse:
-        d.regression = d.rel > opts.rel_threshold;
-        break;
-      case ServingDir::kLowerWorse:
-        d.regression = d.rel < -opts.rel_threshold;
-        break;
-      case ServingDir::kInfo:
-        break;
+    ServingDir dir = ServingDir::kInfo;
+    ServingStats::visit(shape, [&](const char* k, const auto&, ServingDir d) {
+      if (key == k) dir = d;
+    });
+    MetricDelta d = make_delta(label, metric, av, *bv);
+    if (dir == ServingDir::kHigherWorse) {
+      d.regression = d.rel > opts.rel_threshold;
+    } else if (dir == ServingDir::kLowerWorse) {
+      d.regression = d.rel < -opts.rel_threshold;
     }
     rep.deltas.push_back(d);
   }
@@ -542,28 +485,12 @@ DiffReport diff_metrics(const util::Json& before, const util::Json& after,
     const util::Json& bm = *it->second->get("metrics");
     const util::Json* aci = a_cell->get("metric_ci");
     const util::Json* bci = it->second->get("metric_ci");
+    report_one_sided(rep, label, am, bm, "", "after", opts);
+    report_one_sided(rep, label, bm, am, "", "before", opts);
     for (const auto& [metric, av] : am.as_object()) {
-      if (!opts.only_metrics.empty() &&
-          std::find(opts.only_metrics.begin(), opts.only_metrics.end(),
-                    metric) == opts.only_metrics.end()) {
-        continue;
-      }
       const util::Json* bv = bm.get(metric);
-      if (bv == nullptr) {
-        rep.errors.push_back("cell " + label + ": metric " + metric +
-                             " missing from the after run");
-        continue;
-      }
-      MetricDelta d;
-      d.cell = label;
-      d.metric = metric;
-      d.before = av.as_number();
-      d.after = bv->as_number();
-      if (d.before != 0.0) {
-        d.rel = (d.after - d.before) / d.before;
-      } else if (d.after != 0.0) {
-        d.rel = std::numeric_limits<double>::infinity();
-      }
+      if (!selected(opts, metric) || bv == nullptr) continue;
+      MetricDelta d = make_delta(label, metric, av, *bv);
       auto half = [&](const util::Json* ci) {
         const util::Json* h = ci == nullptr ? nullptr : ci->get(metric);
         return h != nullptr && h->is_number() ? h->as_number() : 0.0;

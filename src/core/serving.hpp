@@ -57,6 +57,12 @@ struct ServingConfig {
   u64 seed = 42;
 };
 
+/// How a diff gates one "serving" member: latency tails and queue depth
+/// are higher-is-worse, throughput is lower-is-worse; configuration echoes
+/// (sessions, target_load, ...) and descriptive statistics
+/// (mean_concurrency, offered_qps) are informational.
+enum class ServingDir { kHigherWorse, kLowerWorse, kInfo };
+
 /// The serving-side numbers of one serving cell (schema v4 "serving"
 /// object). Latencies are end-to-end (queue wait + service) in simulated
 /// milliseconds; percentiles are nearest-rank over every completed query.
@@ -81,6 +87,31 @@ struct ServingStats {
   /// Calibration level whose machine metrics the cell reports (the level
   /// nearest mean_concurrency).
   u32 metrics_nproc = 1;
+
+  /// Calls `f(key, member, direction)` for every member, in export order:
+  /// the writer, the schema check and the diff's gate all walk it.
+  template <class S, class F>
+  static void visit(S& s, F&& f) {
+    using enum ServingDir;
+    f("arrival", s.arrival, kInfo);
+    f("sessions", s.sessions, kInfo);
+    f("cpus", s.cpus, kInfo);
+    f("queries_per_session", s.queries_per_session, kInfo);
+    f("queries", s.queries, kInfo);
+    f("think_time_ms", s.think_time_ms, kInfo);
+    f("target_load", s.target_load, kInfo);
+    f("offered_qps", s.offered_qps, kInfo);
+    f("achieved_qph", s.achieved_qph, kLowerWorse);
+    f("mean_concurrency", s.mean_concurrency, kInfo);
+    f("p50_ms", s.p50_ms, kHigherWorse);
+    f("p95_ms", s.p95_ms, kHigherWorse);
+    f("p99_ms", s.p99_ms, kHigherWorse);
+    f("mean_ms", s.mean_ms, kHigherWorse);
+    f("max_ms", s.max_ms, kHigherWorse);
+    f("queue_p99_ms", s.queue_p99_ms, kHigherWorse);
+    f("max_queue_depth", s.max_queue_depth, kHigherWorse);
+    f("metrics_nproc", s.metrics_nproc, kInfo);
+  }
 };
 
 struct ServingResult {

@@ -43,42 +43,19 @@ MissBreakdown& MissBreakdown::operator+=(const MissBreakdown& o) {
 }
 
 u64 CpiStack::total() const {
-  return compute + spin + sched + tlb + atomics + l2_hit + mem_local +
-         mem_remote_near + mem_remote_mid + mem_remote_far + intervention;
+  u64 s = 0;
+  for (const auto& f : kCpiStackFields) s += this->*f.member;
+  return s;
 }
 
 u64 CpiStack::mem_stall() const {
-  return tlb + atomics + l2_hit + mem_local + mem_remote_near +
-         mem_remote_mid + mem_remote_far + intervention;
+  u64 s = 0;
+  for (const auto& f : kCpiStackFields) s += f.machine ? this->*f.member : 0;
+  return s;
 }
 
 Counters& Counters::operator+=(const Counters& o) {
-  cycles += o.cycles;
-  instructions += o.instructions;
-  spin_cycles += o.spin_cycles;
-  loads += o.loads;
-  stores += o.stores;
-  atomics += o.atomics;
-  l1d_misses += o.l1d_misses;
-  l2d_misses += o.l2d_misses;
-  dirty_misses += o.dirty_misses;
-  cache_interventions += o.cache_interventions;
-  invalidations_recv += o.invalidations_recv;
-  upgrades += o.upgrades;
-  writebacks += o.writebacks;
-  migratory_transfers += o.migratory_transfers;
-  tlb_misses += o.tlb_misses;
-  mem_requests += o.mem_requests;
-  mem_latency_cycles += o.mem_latency_cycles;
-  remote_accesses += o.remote_accesses;
-  vol_ctx_switches += o.vol_ctx_switches;
-  invol_ctx_switches += o.invol_ctx_switches;
-  select_sleeps += o.select_sleeps;
-  lock_acquires += o.lock_acquires;
-  lock_collisions += o.lock_collisions;
-  buffer_pins += o.buffer_pins;
-  tuples_scanned += o.tuples_scanned;
-  index_descents += o.index_descents;
+  for (const auto& f : kCounterFields) this->*f.member += o.*f.member;
   l1_miss_causes += o.l1_miss_causes;
   l2_miss_causes += o.l2_miss_causes;
   for (u32 i = 0; i < kNumObjClasses; ++i) {

@@ -84,7 +84,8 @@ struct CpiStack {
   [[nodiscard]] u64 mem_stall() const;
 
   /// Defined inline: `Process` and `MachineSim::access_batch` fold a
-  /// reference's stall parts in with it after every nonzero stall.
+  /// reference's stall parts in with it after every nonzero stall. The one
+  /// hand-written walk of the buckets (pinned by a static_assert below).
   CpiStack& operator+=(const CpiStack& o) {
     compute += o.compute;
     spin += o.spin;
@@ -100,6 +101,34 @@ struct CpiStack {
     return *this;
   }
 };
+
+/// A u64 member of `S` and its JSON key. `machine`: MachineSim writes it on
+/// the detailed path, so a sampling window measures it and a sampled run
+/// replaces it with a scaled estimate; the rest stays exact.
+template <class S>
+struct CounterField {
+  const char* name;
+  u64 S::*member;
+  bool machine;
+};
+
+/// Every CpiStack bucket, in declaration order; `machine` marks the
+/// memory-stall buckets (mem_stall()).
+inline constexpr std::array<CounterField<CpiStack>, 11> kCpiStackFields{{
+    {"compute", &CpiStack::compute, false},
+    {"spin", &CpiStack::spin, false},
+    {"sched", &CpiStack::sched, false},
+    {"tlb", &CpiStack::tlb, true},
+    {"atomics", &CpiStack::atomics, true},
+    {"l2_hit", &CpiStack::l2_hit, true},
+    {"mem_local", &CpiStack::mem_local, true},
+    {"mem_remote_near", &CpiStack::mem_remote_near, true},
+    {"mem_remote_mid", &CpiStack::mem_remote_mid, true},
+    {"mem_remote_far", &CpiStack::mem_remote_far, true},
+    {"intervention", &CpiStack::intervention, true},
+}};
+static_assert(kCpiStackFields.size() * sizeof(u64) == sizeof(CpiStack),
+              "each bucket needs a row here and a term in operator+=");
 
 /// Raw event totals for one simulated process (thread). All values are
 /// accumulated while the thread occupies a CPU, so `cycles` is the paper's
@@ -174,5 +203,57 @@ struct Counters {
   [[nodiscard]] double l1d_miss_rate() const;           ///< misses / refs
   [[nodiscard]] double l2d_miss_rate() const;           ///< L2 misses / L1 misses
 };
+
+/// Every scalar Counters member, in declaration order. A new counter is its
+/// declaration above plus one row here.
+inline constexpr std::array<CounterField<Counters>, 26> kCounterFields{{
+    {"cycles", &Counters::cycles, false},
+    {"instructions", &Counters::instructions, false},
+    {"spin_cycles", &Counters::spin_cycles, false},
+    {"loads", &Counters::loads, true},
+    {"stores", &Counters::stores, true},
+    {"atomics", &Counters::atomics, true},
+    {"l1d_misses", &Counters::l1d_misses, true},
+    {"l2d_misses", &Counters::l2d_misses, true},
+    {"dirty_misses", &Counters::dirty_misses, true},
+    {"cache_interventions", &Counters::cache_interventions, true},
+    {"invalidations_recv", &Counters::invalidations_recv, true},
+    {"upgrades", &Counters::upgrades, true},
+    {"writebacks", &Counters::writebacks, true},
+    {"migratory_transfers", &Counters::migratory_transfers, true},
+    {"tlb_misses", &Counters::tlb_misses, true},
+    {"mem_requests", &Counters::mem_requests, true},
+    {"mem_latency_cycles", &Counters::mem_latency_cycles, true},
+    {"remote_accesses", &Counters::remote_accesses, true},
+    {"vol_ctx_switches", &Counters::vol_ctx_switches, false},
+    {"invol_ctx_switches", &Counters::invol_ctx_switches, false},
+    {"select_sleeps", &Counters::select_sleeps, false},
+    {"lock_acquires", &Counters::lock_acquires, false},
+    {"lock_collisions", &Counters::lock_collisions, false},
+    {"buffer_pins", &Counters::buffer_pins, false},
+    {"tuples_scanned", &Counters::tuples_scanned, false},
+    {"index_descents", &Counters::index_descents, false},
+}};
+
+/// Calls `f` on the same machine-event field of every block in `c...`: the
+/// `machine` rows of both tables and every miss-cause and object-class
+/// tally. Both samplers' window deltas and estimate scaling walk this.
+template <class F, class... C>
+void for_each_machine_field(F&& f, C&... c) {
+  for (const auto& fd : kCounterFields) {
+    if (fd.machine) f(c.*fd.member...);
+  }
+  for (u32 i = 0; i < kNumMissCauses; ++i) {
+    f(c.l1_miss_causes.by_cause[i]...);
+    f(c.l2_miss_causes.by_cause[i]...);
+  }
+  for (u32 i = 0; i < kNumObjClasses; ++i) {
+    f(c.obj_misses[i]...);
+    f(c.obj_comm_misses[i]...);
+  }
+  for (const auto& fd : kCpiStackFields) {
+    if (fd.machine) f(c.stack.*fd.member...);
+  }
+}
 
 }  // namespace dss::perf

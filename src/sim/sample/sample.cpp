@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "sim/machine.hpp"
-#include "sim/sample/counter_fields.hpp"
 
 namespace dss::sim {
 
@@ -304,7 +303,8 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   for (u32 p = 0; p < nproc; ++p) {
     perf::Counters meas;
     for (u32 s = 0; s < S; ++s) {
-      accumulate_machine_delta(meas, shard_ctr[s][p], perf::Counters{});
+      perf::for_each_machine_field([](u64& d, u64 c) { d += c; }, meas,
+                                   shard_ctr[s][p]);
       meas.cycles += shard_ctr[s][p].cycles;
     }
     const double f = meas_proc[p] > 0
@@ -312,11 +312,11 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
                                static_cast<double>(meas_proc[p])
                          : 0.0;
     perf::Counters& c = result[p];
-    for_each_machine_field(c, meas, meas,
-                           [f](u64& out, const u64& m, const u64&) {
-                             out = static_cast<u64>(
-                                 std::llround(static_cast<double>(m) * f));
-                           });
+    perf::for_each_machine_field(
+        [f](u64& out, u64 m) {
+          out = static_cast<u64>(std::llround(static_cast<double>(m) * f));
+        },
+        c, meas);
     c.cycles = static_cast<u64>(
         std::llround(static_cast<double>(meas.cycles) * f));
     c.instructions += ct.instr_total[p];

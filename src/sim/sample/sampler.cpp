@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "sim/machine.hpp"
-#include "sim/sample/counter_fields.hpp"
 
 namespace dss::sim {
 
@@ -91,7 +90,8 @@ void RefSampler::close_window(const MachineSim& m) {
     if (cp == nullptr) continue;
     const perf::Counters& cur = *cp;
     const perf::Counters& base = open_[p];
-    accumulate_machine_delta(meas_[p], cur, base);
+    perf::for_each_machine_field(
+        [](u64& d, u64 c, u64 b) { d += c - b; }, meas_[p], cur, base);
     stall += static_cast<double>(cur.stack.mem_stall() -
                                  base.stack.mem_stall());
     l1 += static_cast<double>(cur.l1d_misses - base.l1d_misses);
@@ -149,11 +149,11 @@ ExecSampleSummary RefSampler::finalize(
             ? static_cast<double>(proc_total_[p]) /
                   static_cast<double>(proc_measured_[p])
             : 0.0;
-    for_each_machine_field(c, meas_[p], meas_[p],
-                           [f](u64& out, const u64& m, const u64&) {
-                             out = static_cast<u64>(std::llround(
-                                 static_cast<double>(m) * f));
-                           });
+    perf::for_each_machine_field(
+        [f](u64& out, u64 m) {
+          out = static_cast<u64>(std::llround(static_cast<double>(m) * f));
+        },
+        c, meas_[p]);
     // Re-establish I9 on the estimates: compute/spin/sched are exact, the
     // memory-side components were just replaced by scaled estimates.
     c.cycles = c.stack.total();

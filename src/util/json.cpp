@@ -237,6 +237,7 @@ class Parser {
 
   Json parse_array() {
     ++pos_;  // '['
+    const Nest nest(*this);
     std::vector<Json> items;
     skip_ws();
     if (peek() == ']') {
@@ -256,6 +257,7 @@ class Parser {
 
   Json parse_object() {
     ++pos_;  // '{'
+    const Nest nest(*this);
     std::map<std::string, Json> members;
     skip_ws();
     if (peek() == '}') {
@@ -278,8 +280,27 @@ class Parser {
     return Json::make_object(std::move(members));
   }
 
+  static constexpr int kMaxDepth = 256;
+
+  /// One container level, counted while it is parsed. Each level is one
+  /// recursion, so the bound makes a hostile document ("[[[[...") a parse
+  /// error instead of a stack overflow.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth) p_.fail("nesting deeper than 256 levels");
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -67,6 +67,18 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(json_parse("nul"), JsonError);
 }
 
+TEST(JsonParse, BoundsNestingDepth) {
+  // A deeply nested document overflowed the parser's stack (SIGSEGV in
+  // dss_report); past 256 levels it is a parse error.
+  const auto nested = [](int n) {
+    return std::string(n, '[') + std::string(n, ']');
+  };
+  EXPECT_NO_THROW(json_parse(nested(256)));
+  EXPECT_THROW(json_parse(nested(257)), JsonError);
+  EXPECT_THROW(json_parse(std::string(200'000, '[')), JsonError);
+  EXPECT_THROW(json_parse(std::string(200'000, '{')), JsonError);
+}
+
 TEST(JsonParse, TypeMismatchThrows) {
   const Json doc = json_parse("{\"n\": 3}");
   EXPECT_THROW((void)doc.as_array(), JsonError);

@@ -1,6 +1,9 @@
 // Performance-counter model tests.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "member_count.hpp"
 #include "perf/counters.hpp"
 #include "perf/platform_events.hpp"
 
@@ -48,6 +51,76 @@ TEST(Counters, Accumulate) {
   EXPECT_EQ(a.cycles, 15u);
   EXPECT_EQ(a.dirty_misses, 7u);
   EXPECT_EQ(a.migratory_transfers, 2u);
+}
+
+/// The table's members are distinct, and with the `others` members that
+/// are not scalars they are every member of S.
+template <class S, std::size_t N>
+void expect_table_covers(const std::array<CounterField<S>, N>& table,
+                         std::size_t others) {
+  const S s{};
+  std::set<std::size_t> offsets;
+  std::set<std::string> names;
+  for (const auto& f : table) {
+    offsets.insert(testing::offset_in(s, s.*f.member));
+    names.insert(f.name);
+  }
+  EXPECT_EQ(offsets.size(), N);
+  EXPECT_EQ(names.size(), N);
+  EXPECT_EQ(N + others, testing::member_count<S>());
+}
+
+TEST(Counters, FieldTablesCoverTheirStructs) {
+  expect_table_covers(kCpiStackFields, 0);
+  // l1/l2_miss_causes, obj_misses, obj_comm_misses and stack.
+  expect_table_covers(kCounterFields, 5);
+  // Every member is a u64 (arrays of them included), so the byte sizes
+  // agree too.
+  EXPECT_EQ(sizeof(Counters),
+            kCounterFields.size() * sizeof(u64) + 2 * sizeof(MissBreakdown) +
+                2 * kNumObjClasses * sizeof(u64) + sizeof(CpiStack));
+}
+
+TEST(Counters, TablesDriveAccumulationAndStackSums) {
+  Counters a;
+  Counters b;
+  u64 v = 1;
+  for (const auto& f : kCounterFields) b.*f.member = v++;
+  u64 mem = 0;
+  u64 all = 0;
+  for (const auto& f : kCpiStackFields) {
+    b.stack.*f.member = v;
+    all += v;
+    if (f.machine) mem += v;
+    ++v;
+  }
+  a += b;
+  a += b;
+  for (const auto& f : kCounterFields) {
+    EXPECT_EQ(a.*f.member, 2 * (b.*f.member)) << f.name;
+  }
+  EXPECT_EQ(b.stack.total(), all);
+  EXPECT_EQ(b.stack.mem_stall(), mem);
+  EXPECT_EQ(a.stack.total(), 2 * all);
+  // mem_stall() is every bucket below the CPU core.
+  EXPECT_EQ(all - mem, b.stack.compute + b.stack.spin + b.stack.sched);
+}
+
+TEST(Counters, MachineWalkSkipsProcessSideFields) {
+  Counters c;
+  for (const auto& f : kCounterFields) c.*f.member = 1;
+  for (const auto& f : kCpiStackFields) c.stack.*f.member = 1;
+  c.l1_miss_causes[MissCause::kCold] = 1;
+  c.obj_comm_misses[2] = 1;
+  u64 seen = 0;
+  for_each_machine_field([&seen](u64& x) { seen += x; x = 0; }, c);
+  // 15 machine counters, the two tallies set above, 8 memory-stall buckets.
+  EXPECT_EQ(seen, 15u + 2u + 8u);
+  EXPECT_EQ(c.cycles, 1u);
+  EXPECT_EQ(c.loads, 0u);
+  EXPECT_EQ(c.index_descents, 1u);
+  EXPECT_EQ(c.stack.compute, 1u);
+  EXPECT_EQ(c.stack.intervention, 0u);
 }
 
 TEST(PlatformEvents, CataloguesDiffer) {

@@ -2,10 +2,14 @@
 // run-to-run diffing (the machinery behind `--metrics` and dss_report).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
 #include <sstream>
 
 #include "core/run_export.hpp"
+#include "member_count.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace dss::core {
 namespace {
@@ -241,6 +245,56 @@ TEST(RunExport, MetricMissingFromAfterIsAnError) {
   EXPECT_TRUE(rep.deltas.empty());
 }
 
+TEST(RunExport, MetricMissingFromBeforeIsAnError) {
+  // The symmetric case: a metric only the after run has is not silently
+  // skipped, and the shared metrics are still compared.
+  const auto doc = [](const std::string& metrics) {
+    return util::json_parse(
+        R"({"schema_version": 5, "bench": "x", "scale_denom": 64,
+            "seed": 7, "cells": [{
+              "platform": "V-Class", "query": "Q6", "nproc": 4, "trials": 1,
+              "variant": "", "metrics": {)" +
+        metrics +
+        R"(}, "counters": {}, "miss_causes": {"l1": {}, "l2": {}},
+              "obj_misses": {}, "cpi_stack": {}}]})");
+  };
+  const DiffReport rep = diff_metrics(doc(R"("cpi": 1.5)"),
+                                      doc(R"("cpi": 1.5, "wall_seconds": 2)"),
+                                      {});
+  ASSERT_EQ(rep.errors.size(), 1u);
+  EXPECT_EQ(rep.errors[0], "cell V-Class/Q6/4: metric wall_seconds missing "
+                           "from the before run");
+  ASSERT_EQ(rep.deltas.size(), 1u);
+  EXPECT_EQ(rep.deltas[0].metric, "cpi");
+  // A --metric filter that excludes the key excludes its error too.
+  DiffOptions opts;
+  opts.only_metrics = {"cpi"};
+  EXPECT_TRUE(diff_metrics(doc(R"("cpi": 1.5)"),
+                           doc(R"("cpi": 1.5, "wall_seconds": 2)"), opts)
+                  .errors.empty());
+}
+
+TEST(RunExport, SchemaCheckRequiresIntegerCounts) {
+  // Count members are read back into u32s: 1e300 passed the check and
+  // printed as nproc=-2147483648 through an out-of-range cast.
+  const auto cell = [](const std::string& nproc, const std::string& trials) {
+    return util::json_parse(
+        R"({"schema_version": 5, "bench": "x", "scale_denom": 16, "seed": 1,
+            "cells": [{"platform": "V-Class", "query": "Q6", "nproc": )" +
+        nproc + R"(, "trials": )" + trials +
+        R"(, "variant": "", "metrics": {}, "counters": {},
+              "miss_causes": {"l1": {}, "l2": {}}, "obj_misses": {},
+              "cpi_stack": {}}]})");
+  };
+  EXPECT_TRUE(check_metrics_schema(cell("4", "2")).empty());
+  EXPECT_TRUE(check_metrics_schema(cell("4294967295", "0")).empty());
+  for (const char* bad : {"1e300", "-1", "1.5", "4294967296", "\"4\""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_EQ(check_metrics_schema(cell(bad, "1")).size(), 1u);
+    EXPECT_EQ(check_metrics_schema(cell("1", bad)).size(), 1u);
+  }
+}
+
 ExportCell make_serving_cell(double p99, double qph) {
   ExportCell c = make_cell("Q6", 1e6);
   c.variant = "serve:open:load=0.80";
@@ -339,6 +393,52 @@ TEST(RunExport, ServingGatesUnderCiGateAndMetricFilter) {
   EXPECT_TRUE(rep.deltas[0].regression);
 }
 
+TEST(RunExport, ServingCountsMustBeIntegers) {
+  MetricsDoc doc = make_serving_doc(100.0, 50'000.0);
+  std::ostringstream os;
+  write_metrics_json(os, doc);
+  const std::string text = os.str();
+  for (const char* key :
+       {"sessions", "queries_per_session", "cpus", "metrics_nproc"}) {
+    SCOPED_TRACE(key);
+    const std::string k = "\"" + std::string(key) + "\": ";
+    const std::size_t at = text.find(k);
+    ASSERT_NE(at, std::string::npos);
+    std::string bad = text;
+    bad.insert(at + k.size(), "-");
+    EXPECT_EQ(check_metrics_schema(util::json_parse(bad)).size(), 1u);
+  }
+}
+
+TEST(RunExport, ServingKeyInOneRunOnlyIsAnError) {
+  // The schema requires every key ServingStats writes, so a one-sided key
+  // is one the writer does not know (a newer build's, say). A diff in
+  // either direction reports it instead of comparing the shared keys and
+  // exiting clean.
+  std::ostringstream os;
+  write_metrics_json(os, make_serving_doc(100.0, 50'000.0));
+  const std::string text = os.str();
+  std::string extra = text;
+  const std::string head = "\"serving\": {";
+  const std::size_t at = extra.find(head);
+  ASSERT_NE(at, std::string::npos);
+  extra.insert(at + head.size(), "\"spare_ms\": 1, ");
+  const util::Json plain = util::json_parse(text);
+  const util::Json more = util::json_parse(extra);
+  ASSERT_TRUE(check_metrics_schema(more).empty());
+  for (const bool extra_after : {true, false}) {
+    SCOPED_TRACE(extra_after);
+    const DiffReport rep = extra_after ? diff_metrics(plain, more, {})
+                                       : diff_metrics(more, plain, {});
+    ASSERT_EQ(rep.errors.size(), 1u);
+    EXPECT_EQ(rep.errors[0],
+              std::string("cell V-Class/Q6/4/serve:open:load=0.80: metric "
+                          "serving.spare_ms missing from the ") +
+                  (extra_after ? "before" : "after") + " run");
+    EXPECT_FALSE(rep.deltas.empty());
+  }
+}
+
 TEST(RunExport, ServingArrivalModeMismatchIsAnError) {
   MetricsDoc closed = make_serving_doc(100.0, 50'000.0);
   closed.cells[0].serving->arrival = "closed";
@@ -401,6 +501,279 @@ TEST(RunExport, VariantDistinguishesCells) {
   b.cells[0].variant = "machine_override";
   const DiffReport rep = diff_metrics(round_trip(a), round_trip(b));
   EXPECT_FALSE(rep.errors.empty());
+}
+
+TEST(RunExport, ExportTablesCoverTheirStructs) {
+  // Every RunResult member is an exported metric, a CI, a "sample" member,
+  // or one of the three written otherwise: the counters (their own
+  // tables), the query result (not exported) and the sampled flag.
+  const RunResult r;
+  std::set<std::size_t> offsets;
+  std::set<std::string> names;
+  std::size_t listed = 0;
+  const auto add = [&](const auto& m) {
+    offsets.insert(testing::offset_in(r, m));
+    ++listed;
+  };
+  for (const ExportedMetric& e : kExportedMetrics) {
+    names.insert(e.name);
+    add(r.*e.value);
+    if (e.ci != nullptr) add(r.*e.ci);
+  }
+  EXPECT_EQ(names.size(), kExportedMetrics.size());
+  names.clear();
+  RunResult::visit_sample(r, [&](const char* k, const auto& m) {
+    names.insert(k);
+    add(m);
+  });
+  EXPECT_EQ(names.size(), 7u);
+  EXPECT_EQ(offsets.size(), listed);
+  EXPECT_EQ(listed + 3, testing::member_count<RunResult>());
+
+  const ServingStats s;
+  offsets.clear();
+  names.clear();
+  ServingStats::visit(s, [&](const char* k, const auto& m, ServingDir) {
+    offsets.insert(testing::offset_in(s, m));
+    names.insert(k);
+  });
+  EXPECT_EQ(offsets.size(), testing::member_count<ServingStats>());
+  EXPECT_EQ(names.size(), offsets.size());
+}
+
+TEST(RunExport, EveryFieldRoundTripsUnderItsOwnName) {
+  // Distinct values in every exported field, so a value found under a key
+  // can only have been written from that key's member.
+  ExportCell c = make_cell("Q6", 1e6);
+  RunResult& r = c.result;
+  u64 n = 1;
+  for (const auto& f : perf::kCounterFields) r.mean.*f.member = n++;
+  for (const auto& f : perf::kCpiStackFields) r.mean.stack.*f.member = n++;
+  for (const ExportedMetric& e : kExportedMetrics) {
+    r.*e.value = static_cast<double>(n++) + 0.5;
+    if (e.ci != nullptr) r.*e.ci = static_cast<double>(n++) + 0.25;
+  }
+  r.sampled = true;
+  RunResult::visit_sample(r, [&n](const char*, auto& m) {
+    m = static_cast<std::decay_t<decltype(m)>>(n++);
+  });
+  ServingStats sv;
+  ServingStats::visit(sv, [&n](const char*, auto& m, ServingDir) {
+    using T = std::decay_t<decltype(m)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      m = "open";
+    } else {
+      m = static_cast<T>(n++);
+    }
+  });
+  c.serving = sv;
+  MetricsDoc doc;
+  doc.bench = "fields";
+  doc.cells.push_back(c);
+
+  const util::Json j = round_trip(doc);
+  ASSERT_TRUE(check_metrics_schema(j).empty());
+  const util::Json& cell = j.get("cells")->as_array()[0];
+  const auto number = [&cell](const char* obj, const char* key) {
+    const util::Json* v = cell.get(obj)->get(key);
+    EXPECT_NE(v, nullptr) << obj << "." << key;
+    return v == nullptr ? -1.0 : v->as_number();
+  };
+  for (const auto& f : perf::kCounterFields) {
+    EXPECT_EQ(number("counters", f.name), double(r.mean.*f.member));
+  }
+  for (const auto& f : perf::kCpiStackFields) {
+    EXPECT_EQ(number("cpi_stack", f.name), double(r.mean.stack.*f.member));
+  }
+  std::size_t cis = 0;
+  for (const ExportedMetric& e : kExportedMetrics) {
+    EXPECT_EQ(number("metrics", e.name), r.*e.value);
+    if (e.ci != nullptr) {
+      EXPECT_EQ(number("metric_ci", e.name), r.*e.ci);
+      ++cis;
+    }
+  }
+  RunResult::visit_sample(r, [&](const char* k, const auto& m) {
+    EXPECT_EQ(number("sample", k), double(m));
+  });
+  ServingStats::visit(sv, [&](const char* k, const auto& m, ServingDir) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(m)>, std::string>) {
+      EXPECT_EQ(cell.get("serving")->get(k)->as_string(), m);
+    } else {
+      EXPECT_EQ(number("serving", k), double(m));
+    }
+  });
+  // Nothing is written that the tables do not list.
+  EXPECT_EQ(cell.get("counters")->as_object().size(),
+            perf::kCounterFields.size());
+  EXPECT_EQ(cell.get("cpi_stack")->as_object().size(),
+            perf::kCpiStackFields.size());
+  EXPECT_EQ(cell.get("metrics")->as_object().size(), kExportedMetrics.size());
+  EXPECT_EQ(cell.get("metric_ci")->as_object().size(), cis);
+  EXPECT_EQ(cell.get("sample")->as_object().size(), 7u);
+  EXPECT_EQ(cell.get("serving")->as_object().size(),
+            testing::member_count<ServingStats>());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Removes the object member whose key's opening quote is at `at`: the key,
+/// its value (a scalar, or a bracketed value through its closing bracket)
+/// and a comma after it.
+void erase_member(std::string& t, std::size_t at) {
+  std::size_t i = t.find(':', at + 1);
+  if (i == std::string::npos) return;
+  ++i;
+  while (i < t.size() && t[i] == ' ') ++i;
+  int depth = 0;
+  bool in_string = false;
+  for (; i < t.size(); ++i) {
+    const char ch = t[i];
+    if (in_string) {
+      if (ch == '\\') {
+        ++i;
+      } else if (ch == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (ch == '"') {
+      in_string = true;
+    } else if (ch == '{' || ch == '[') {
+      ++depth;
+    } else if (ch == '}' || ch == ']') {
+      if (depth == 0) break;
+      if (--depth == 0) {
+        ++i;
+        break;
+      }
+    } else if (ch == ',' && depth == 0) {
+      break;
+    }
+  }
+  if (i < t.size() && t[i] == ',') ++i;
+  t.erase(at, i - at);
+}
+
+/// One mutant of `text`: a flipped bit, a truncation, an inserted digit or
+/// a deleted object member.
+std::string mutate(const std::string& text, Rng& rng) {
+  std::string t = text;
+  const auto pos = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next() % n);
+  };
+  switch (rng.next() % 4) {
+    case 0:
+      t[pos(t.size())] ^= static_cast<char>(1u << (rng.next() % 8));
+      break;
+    case 1:
+      t.resize(pos(t.size()));
+      break;
+    case 2: {
+      // 1 to 24 digits next to an existing digit, so a number grows, up to
+      // past 2^64 (a count of 4 becoming 40 or 4e23).
+      std::size_t at = pos(t.size());
+      const std::size_t d = t.find_first_of("0123456789", at);
+      if (d != std::string::npos) at = d;
+      const std::size_t n = 1 + rng.next() % 24;
+      for (std::size_t i = 0; i < n; ++i) {
+        t.insert(at, 1, static_cast<char>('0' + rng.next() % 10));
+      }
+      break;
+    }
+    default: {
+      const std::size_t colon = t.find("\":", pos(t.size()));
+      if (colon == std::string::npos || colon == 0) break;
+      const std::size_t open = t.rfind('"', colon - 1);
+      if (open != std::string::npos) erase_member(t, open);
+      break;
+    }
+  }
+  return t;
+}
+
+bool fits_u32(const util::Json* v) {
+  return v != nullptr && v->is_number() && v->as_number() >= 0.0 &&
+         v->as_number() <= 4294967295.0 &&
+         v->as_number() == static_cast<double>(static_cast<u64>(v->as_number()));
+}
+
+/// A written document cut to its header and first two cells (the writer's
+/// layout: cells at indent 4), so a sanitizer build parses a few KiB per
+/// mutant rather than a whole golden; other documents unchanged.
+std::string first_cells(const std::string& text) {
+  const std::string sep = "\n    },\n    {";
+  std::size_t at = text.find(sep);
+  if (at != std::string::npos) at = text.find(sep, at + sep.size());
+  if (at == std::string::npos) return text;
+  return text.substr(0, at) + "\n    }\n  ]\n}\n";
+}
+
+TEST(RunExport, MutantsOfCommittedDocumentsFailCleanly) {
+  // Each committed document (its first two cells), mutated 1000 ways with
+  // a fixed seed: every mutant is a parse error, a schema problem, a diff
+  // error, or a clean diff against the original. Anything else (a throw
+  // past the schema check, a sanitizer report) fails the test.
+  const std::string root = DSS_SOURCE_DIR;
+  const char* files[] = {
+      "tests/data/golden_fig3_scale256.json",
+      "tests/data/golden_fig6_scale256.json",
+      "tests/data/golden_ext_mixed_sampled_scale256.json",
+      "tests/data/golden_refstream_full.json",
+      "tests/data/golden_refstream_sampled.json",
+      "bench/BENCH_serving.json",
+      "tests/data/metrics_before.json",
+      "tests/data/metrics_after_regressed.json",
+      "tests/data/metrics_bad_check.json",
+      "tests/data/metrics_bad_count.json",
+      "tests/data/metrics_bad_sample.json",
+      "tests/data/metrics_bad_serving.json",
+  };
+  Rng rng(20241019);
+  for (const char* file : files) {
+    SCOPED_TRACE(file);
+    const std::string text = first_cells(read_file(root + "/" + file));
+    ASSERT_FALSE(text.empty());
+    const util::Json original = util::json_parse(text);
+    ASSERT_LE(original.get("cells")->as_array().size(), 2u);
+    std::size_t parsed = 0;
+    std::size_t clean = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const std::string m = mutate(text, rng);
+      util::Json doc;
+      try {
+        doc = util::json_parse(m);
+      } catch (const util::JsonError&) {
+        continue;
+      }
+      ++parsed;
+      const bool valid = check_metrics_schema(doc).empty();
+      const DiffReport rep = diff_metrics(doc, original);
+      if (!valid) {
+        EXPECT_FALSE(rep.errors.empty()) << m;
+      } else {
+        // Readers cast the counts to integers; a valid document's must fit
+        // (an out-of-range float-to-int cast is undefined behaviour that
+        // -fsanitize=undefined does not report).
+        for (const util::Json& cell : doc.get("cells")->as_array()) {
+          EXPECT_TRUE(fits_u32(cell.get("nproc"))) << m;
+          EXPECT_TRUE(fits_u32(cell.get("trials"))) << m;
+        }
+      }
+      if (rep.errors.empty()) ++clean;
+    }
+    // The mutants reach past the parser, where some are rejected and (for
+    // a valid original) some diff clean.
+    EXPECT_GT(parsed, clean);
+    if (check_metrics_schema(original).empty()) {
+      EXPECT_GT(clean, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -73,6 +73,9 @@ bool check(const std::string& path, const Json& doc) {
   return problems.empty();
 }
 
+/// A count member; the schema check has proven it an integer in u32 range.
+unsigned count(const Json& v) { return static_cast<unsigned>(v.as_number()); }
+
 void print_run(const Json& doc) {
   std::printf("bench: %s  (scale 1/%g, seed %g)\n",
               doc.get("bench")->as_string().c_str(),
@@ -81,11 +84,10 @@ void print_run(const Json& doc) {
   for (const Json& cell : doc.get("cells")->as_array()) {
     const std::string variant = cell.get("variant")->as_string();
     const Json* checked = cell.get("check");
-    std::printf("\n%s %s nproc=%d trials=%d%s%s\n",
+    std::printf("\n%s %s nproc=%u trials=%u%s%s\n",
                 cell.get("platform")->as_string().c_str(),
                 cell.get("query")->as_string().c_str(),
-                static_cast<int>(cell.get("nproc")->as_number()),
-                static_cast<int>(cell.get("trials")->as_number()),
+                count(*cell.get("nproc")), count(*cell.get("trials")),
                 variant.empty() ? "" : (" variant=" + variant).c_str(),
                 checked != nullptr && checked->as_bool() ? " [checked]" : "");
     if (const Json* s = cell.get("sample")) {
@@ -102,11 +104,9 @@ void print_run(const Json& doc) {
     }
     if (const Json* sv = cell.get("serving")) {
       std::printf(
-          "  serving: %s arrival, %d sessions x %d queries on %d cpus\n",
-          sv->get("arrival")->as_string().c_str(),
-          static_cast<int>(sv->get("sessions")->as_number()),
-          static_cast<int>(sv->get("queries_per_session")->as_number()),
-          static_cast<int>(sv->get("cpus")->as_number()));
+          "  serving: %s arrival, %u sessions x %u queries on %u cpus\n",
+          sv->get("arrival")->as_string().c_str(), count(*sv->get("sessions")),
+          count(*sv->get("queries_per_session")), count(*sv->get("cpus")));
       if (sv->get("target_load")->as_number() > 0) {
         std::printf("  serving: target load %.2f (%.3g q/s offered)\n",
                     sv->get("target_load")->as_number(),
@@ -114,10 +114,10 @@ void print_run(const Json& doc) {
       }
       std::printf(
           "  serving: %.6g QphH, mean concurrency %.2f "
-          "(machine metrics at nproc=%d)\n",
+          "(machine metrics at nproc=%u)\n",
           sv->get("achieved_qph")->as_number(),
           sv->get("mean_concurrency")->as_number(),
-          static_cast<int>(sv->get("metrics_nproc")->as_number()));
+          count(*sv->get("metrics_nproc")));
       std::printf(
           "  serving: latency ms p50=%.4g p95=%.4g p99=%.4g mean=%.4g "
           "max=%.4g (queue p99=%.4g)\n",
