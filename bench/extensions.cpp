@@ -20,8 +20,9 @@ int ext_queries(const core::BenchOptions& opts) {
       tpch::QueryId::Q12, tpch::QueryId::Q14, tpch::QueryId::Q21};
 
   // One batch: all twelve (query, machine) cells run concurrently.
-  const CellBatch batch =
-      cell_batch(runner, opts, {1u}, {kVClass, kOrigin}, all);
+  const auto cells =
+      core::cell_grid(std::vector{kVClass, kOrigin}, all, std::vector{1u});
+  const core::CellBatch batch = core::run_batch(runner, cells, opts.trials);
 
   Table t({"query", "machine", "cycles", "CPI", "L1d/1Mi", "L2d/1Mi",
            "descents", "memlat"});

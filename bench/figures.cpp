@@ -1,18 +1,82 @@
 // The paper's evaluation, Figs. 2-10: one `dss_bench` experiment per figure.
+// The cells a figure runs and the claims it checks are its row in
+// core/claims; this file prints the figures.
+
+#include <stdexcept>
+#include <string_view>
 
 #include "bench_common.hpp"
 
 namespace dss::bench {
+namespace {
 
-// Fig. 2 — Thread time (cycles) of Q6/Q21/Q12 on both machines:
-// (a) one query process, (b) eight query processes (all the same query).
-//
-// Paper findings: with one process the two machines use almost the same
-// number of cycles (the Origin wins wall-clock on its 250 vs 200 MHz clock);
-// with eight, the Origin inflates more because its communication is more
-// expensive.
-int fig2_thread_time(const core::BenchOptions& opts) {
-  const CellBatch batch = one_and_eight(opts);
+using core::CellBatch;
+
+/// Print Figs. 2-4's pair of tables, (a) at 1 process and (b) at 8, with
+/// one row per query: `row(query, V-Class result, Origin result)`.
+template <class Row>
+void print_one_and_eight(const CellBatch& batch,
+                         const std::vector<std::string>& headers,
+                         const std::string& title_1,
+                         const std::string& title_8, Row row) {
+  for (u32 np : {1u, 8u}) {
+    Table t(headers);
+    for (auto q : core::kQueries) {
+      t.add_row(row(q, batch.at({kVClass, q, np}), batch.at({kOrigin, q, np})));
+    }
+    core::print_figure(std::cout, np == 1 ? title_1 : title_8, t);
+  }
+}
+
+/// Print one metric of `platform`'s (query x nproc) sweep as the paper's
+/// line-chart table: one row per process count, one column per query.
+void print_sweep(const std::string& title, const CellBatch& batch,
+                 perf::Platform platform, double core::RunResult::*metric,
+                 int precision) {
+  // Headers and column count follow core::kQueries, so extending the query
+  // list extends every figure table with it.
+  std::vector<std::string> headers{"processes"};
+  for (auto q : core::kQueries) headers.emplace_back(tpch::query_name(q));
+  Table t(std::move(headers));
+  for (u32 np : core::kProcSeries) {
+    std::vector<std::string> row{std::to_string(np)};
+    for (auto q : core::kQueries) {
+      row.push_back(Table::num(batch.at({platform, q, np}).*metric, precision));
+    }
+    t.add_row(std::move(row));
+  }
+  core::print_figure(std::cout, title, t);
+}
+
+/// Print `value` of each query's 8-process cell on `platform`.
+template <class Value>
+void print_at_8(const std::string& title, const std::string& header,
+                const CellBatch& batch, perf::Platform platform,
+                int precision, Value value) {
+  Table t({"query", header});
+  for (auto q : core::kQueries) {
+    t.add_row({std::string(tpch::query_name(q)),
+               Table::num(value(batch.at({platform, q, 8})), precision)});
+  }
+  core::print_figure(std::cout, title, t);
+}
+
+/// The one figure driver: run the cells of `experiment`'s row as one batch,
+/// print the figure, then report the row's claims. Returns the number of
+/// claims that do not reproduce.
+int run_figure(const core::BenchOptions& opts, std::string_view experiment,
+               void (*print)(const CellBatch&, const core::BenchOptions&)) {
+  for (const core::Figure& fig : core::figures()) {
+    if (fig.experiment != experiment) continue;
+    auto runner = make_runner(opts);
+    const CellBatch batch = core::run_batch(runner, fig.cells, opts.trials);
+    print(batch, opts);
+    return report_claims(fig.claims(batch));
+  }
+  throw std::logic_error("no figure row for " + std::string(experiment));
+}
+
+void print_fig2(const CellBatch& batch, const core::BenchOptions&) {
   print_one_and_eight(
       batch,
       {"query", "HP V-Class (cycles)", "SGI Origin 2000 (cycles)", "HPV (s)",
@@ -26,34 +90,9 @@ int fig2_thread_time(const core::BenchOptions& opts) {
                 Table::num(hpv.thread_time_cycles / 200e6, 3),
                 Table::num(sgi.thread_time_cycles / 250e6, 3)};
       });
-
-  auto cycles = [&](perf::Platform pl, tpch::QueryId q, u32 np) {
-    return batch.at({pl, q, np}).thread_time_cycles;
-  };
-  bool close1 = true, sgi_inflates_more = true;
-  for (auto q : core::kQueries) {
-    const double h1 = cycles(kVClass, q, 1), s1 = cycles(kOrigin, q, 1);
-    const double h8 = cycles(kVClass, q, 8), s8 = cycles(kOrigin, q, 8);
-    close1 = close1 && std::abs(s1 / h1 - 1.0) < 0.15;
-    sgi_inflates_more = sgi_inflates_more && (s8 / s1) > (h8 / h1);
-  }
-  const tpch::QueryId q6 = core::kQueries[0];
-  return report_claims(
-      {{"1 process: both machines take almost the same cycles (within 15%)",
-        close1},
-       {"1 process: Origin's higher clock wins wall-clock",
-        cycles(kOrigin, q6, 1) / 250e6 < cycles(kVClass, q6, 1) / 200e6},
-       {"8 processes: Origin cycles inflate more than V-Class",
-        sgi_inflates_more}});
 }
 
-// Fig. 3 — Cycles per instruction: (a) 1 process, (b) 8 processes.
-//
-// Paper findings: CPI for all three queries sits in the 1.3-1.6 band; with
-// eight processes CPI rises a little on the V-Class and noticeably more on
-// the Origin (communication/synchronization penalty).
-int fig3_cpi(const core::BenchOptions& opts) {
-  const CellBatch batch = one_and_eight(opts);
+void print_fig3(const CellBatch& batch, const core::BenchOptions&) {
   print_one_and_eight(
       batch, {"query", "HP V-Class", "SGI Origin 2000"},
       "Fig. 3(a) CPI, 1 query process", "Fig. 3(b) CPI, 8 query processes",
@@ -62,37 +101,9 @@ int fig3_cpi(const core::BenchOptions& opts) {
         return {tpch::query_name(q), Table::num(hpv.cpi, 3),
                 Table::num(sgi.cpi, 3)};
       });
-
-  bool in_band = true, both_rise = true, sgi_rises_more = true;
-  for (auto q : core::kQueries) {
-    auto cpi = [&](perf::Platform pl, u32 np) {
-      return batch.at({pl, q, np}).cpi;
-    };
-    const double h1 = cpi(kVClass, 1), s1 = cpi(kOrigin, 1);
-    const double h8 = cpi(kVClass, 8), s8 = cpi(kOrigin, 8);
-    in_band = in_band && h1 > 1.25 && h1 < 1.65 && s1 > 1.25 && s1 < 1.65;
-    both_rise = both_rise && h8 >= h1 && s8 >= s1;
-    sgi_rises_more = sgi_rises_more && (s8 - s1) > (h8 - h1);
-  }
-  return report_claims(
-      {{"CPI of all queries in the paper's 1.3-1.6 band", in_band},
-       {"CPI rises on both machines with 8 processes", both_rise},
-       {"CPI rises more on the Origin than on the V-Class", sgi_rises_more}});
 }
 
-// Fig. 4 — Data-cache misses and miss rates: HP V-Class single-level cache
-// vs SGI Origin L1 vs SGI Origin L2, at 1 and 8 processes.
-//
-// Paper findings (Section 3.3):
-//  * Q6 (sequential): SGI's 32 KB L1 takes only ~2x the misses of HP's 2 MB
-//    cache (streaming data has no reuse either way; the gap is the private/
-//    metadata working set).
-//  * Q21 (index): the L1 gap balloons (~12x in the paper), but the Origin's
-//    4 MB/128 B L2 cuts misses *below* the V-Class's.
-//  * Going to 8 processes grows misses mainly in the big caches
-//    (communication); SGI L1 barely moves.
-int fig4_dcache_misses(const core::BenchOptions& opts) {
-  const CellBatch batch = one_and_eight(opts);
+void print_fig4(const CellBatch& batch, const core::BenchOptions&) {
   print_one_and_eight(
       batch,
       {"query", "HPV cache", "SGI L1", "SGI L2", "HPV /1Mi", "SGI L1 /1Mi",
@@ -107,311 +118,78 @@ int fig4_dcache_misses(const core::BenchOptions& opts) {
                 Table::num(sgi.l1d_per_minstr, 0),
                 Table::num(sgi.l2d_per_minstr, 0)};
       });
-
-  struct Row {
-    double hpv, sgi_l1, sgi_l2;
-  };
-  auto rows = [&](int qi, u32 np) {
-    const tpch::QueryId q = core::kQueries[qi];
-    const core::RunResult& sgi = batch.at({kOrigin, q, np});
-    return Row{batch.at({kVClass, q, np}).l1d_misses, sgi.l1d_misses,
-               sgi.l2d_misses};
-  };
-  // Query order in kQueries: Q6, Q21, Q12.
-  const Row q6 = rows(0, 1), q21 = rows(1, 1), q12 = rows(2, 1);
-  const double q6_gap = q6.sgi_l1 / q6.hpv;
-  const double q21_gap = q21.sgi_l1 / q21.hpv;
-  std::vector<Claim> claims = {
-      {"Q6: SGI L1 misses only ~2x the HPV misses (sequential locality)",
-       q6_gap > 1.2 && q6_gap < 3.5},
-      {"Q21: SGI L1/HPV gap much larger than Q6's (index query)",
-       q21_gap > 2.5 * q6_gap},
-      {"Q21: SGI L2 cuts misses below the HPV cache", q21.sgi_l2 < q21.hpv},
-      {"Q6: L2's 128 B lines cut sequential misses ~4x vs L1",
-       q6.sgi_l1 / q6.sgi_l2 > 1.8},
-      {"Q12 behaves like the sequential query Q6",
-       std::abs(q12.sgi_l1 / q12.hpv - q6_gap) < 0.45 * q6_gap +  1.0},
-  };
-  // 8-process growth structure.
-  const Row q6_8 = rows(0, 8), q21_8 = rows(1, 8);
-  claims.push_back({"8 procs: SGI L1 misses barely move (small cache, "
-                    "capacity-bound)",
-                    std::abs(q6_8.sgi_l1 / q6.sgi_l1 - 1.0) < 0.10 &&
-                        std::abs(q21_8.sgi_l1 / q21.sgi_l1 - 1.0) < 0.10});
-  claims.push_back({"8 procs: big-cache misses grow (communication)",
-                    q6_8.hpv > q6.hpv && q6_8.sgi_l2 > q6.sgi_l2});
-  return report_claims(claims);
 }
 
-// Fig. 5 — Thread time (cycles per 1M instructions) on the SGI Origin 2000
-// as the number of query processes grows 1 -> 8.
-//
-// Paper findings: a clear upward trend for all three queries, with the
-// increase getting steeper at 6 and 8 processes (shared memory homed on a
-// couple of nodes + hypercube distance).
-int fig5_origin_thread_time(const core::BenchOptions& opts) {
-  auto runner = make_runner(opts);
-  const auto sweep = run_sweep(runner, kOrigin, opts);
-
-  core::print_figure(
-      std::cout, "Fig. 5 Origin 2000 thread time (cycles / 1M instructions)",
-      sweep_table(sweep, &core::RunResult::cycles_per_minstr, 0));
-
-  bool rising = true, knee = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    const double v1 = sweep.at({qi, 1}).cycles_per_minstr;
-    const double v4 = sweep.at({qi, 4}).cycles_per_minstr;
-    const double v8 = sweep.at({qi, 8}).cycles_per_minstr;
-    rising = rising && v8 > v1;
-    // The 4->8 climb outpaces the 1->4 climb (the knee the paper attributes
-    // to placement + topology).
-    knee = knee && (v8 - v4) > 0.8 * (v4 - v1);
-  }
-  return report_claims(
-      {{"thread time per instruction rises with process count", rising},
-       {"increase steepens at 6-8 processes", knee}});
+void print_fig5(const CellBatch& batch, const core::BenchOptions&) {
+  print_sweep("Fig. 5 Origin 2000 thread time (cycles / 1M instructions)",
+              batch, kOrigin, &core::RunResult::cycles_per_minstr, 0);
 }
 
-// Fig. 6 — Origin 2000 L2 data-cache misses per 1M instructions vs process
-// count.
-//
-// Paper findings: misses/1M instr grow significantly 1 -> 8; Q21's values
-// sit far below Q6/Q12 (index queries have better temporal locality); for
-// Q6/Q12 the growth stays cold/capacity-dominated while Q21's growth is
-// communication-dominated.
-int fig6_origin_l2_misses(const core::BenchOptions& opts) {
-  auto runner = make_runner(opts);
-  const auto sweep = run_sweep(runner, kOrigin, opts);
-
-  core::print_figure(
-      std::cout, "Fig. 6 Origin 2000 L2 D-cache misses / 1M instructions",
-      sweep_table(sweep, &core::RunResult::l2d_per_minstr, 1));
-
-  // Communication share of L2 misses: dirty misses / L2 misses at 8 procs.
-  Table share({"query", "dirty-miss share of L2 misses @8p (%)"});
-  std::vector<double> comm_share(3);
-  for (int qi = 0; qi < 3; ++qi) {
-    const auto& r = sweep.at({qi, 8}).mean;
-    comm_share[qi] = 100.0 * static_cast<double>(r.dirty_misses) /
-                     static_cast<double>(r.l2d_misses);
-    share.add_row({std::string(tpch::query_name(core::kQueries[qi])),
-                   Table::num(comm_share[qi], 1)});
-  }
-  core::print_figure(std::cout, "L2 miss composition at 8 processes", share);
-
-  bool grows = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    grows = grows && sweep.at({qi, 8}).l2d_per_minstr >
-                         sweep.at({qi, 1}).l2d_per_minstr;
-  }
-  const bool q21_lowest =
-      sweep.at({1, 1}).l2d_per_minstr < 0.8 * sweep.at({0, 1}).l2d_per_minstr &&
-      sweep.at({1, 1}).l2d_per_minstr < 0.8 * sweep.at({2, 1}).l2d_per_minstr;
-  // Q6/Q12 stay cold/capacity-dominated (small relative growth); Q21's
-  // growth is the communication component (it has little cold traffic to
-  // hide behind).
-  auto rel_growth = [&](int qi) {
-    return sweep.at({qi, 8}).l2d_per_minstr /
-               sweep.at({qi, 1}).l2d_per_minstr -
-           1.0;
-  };
-  const bool q21_comm_dominant = rel_growth(1) > 2.0 * rel_growth(0) &&
-                                 rel_growth(1) > 2.0 * rel_growth(2);
-  return report_claims(
-      {{"L2 misses/1M instr grow from 1 to 8 processes", grows},
-       {"Q21 (index) has far fewer L2 misses/1M instr than Q6/Q12",
-        q21_lowest},
-       {"Q21's miss growth is communication-dominated, unlike the "
-        "cold/capacity-bound Q6/Q12",
-        q21_comm_dominant}});
+void print_fig6(const CellBatch& batch, const core::BenchOptions&) {
+  print_sweep("Fig. 6 Origin 2000 L2 D-cache misses / 1M instructions", batch,
+              kOrigin, &core::RunResult::l2d_per_minstr, 1);
+  print_at_8("L2 miss composition at 8 processes",
+             "dirty-miss share of L2 misses @8p (%)", batch, kOrigin, 1,
+             [](const core::RunResult& r) {
+               return core::dirty_miss_pct(r, r.mean.l2d_misses);
+             });
 }
 
-// Fig. 7 — V-Class thread time (cycles per 1M instructions) vs process
-// count.
-//
-// Paper findings: only a very slow increase (cheap UMA communication); the
-// largest step is 1 -> 2, and between 2 and 4 the thread time can even
-// decrease slightly (migratory coherence enhancement).
-int fig7_vclass_thread_time(const core::BenchOptions& opts) {
-  auto runner = make_runner(opts);
-  const auto sweep = run_sweep(runner, kVClass, opts);
-
-  core::print_figure(
-      std::cout, "Fig. 7 V-Class thread time (cycles / 1M instructions)",
-      sweep_table(sweep, &core::RunResult::cycles_per_minstr, 0));
-
-  bool slow_increase = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    const double v1 = sweep.at({qi, 1}).cycles_per_minstr;
-    const double v8 = sweep.at({qi, 8}).cycles_per_minstr;
-    slow_increase = slow_increase && v8 >= v1 && (v8 - v1) / v1 < 0.08;
-  }
-  // Compare against the Origin's growth at the same scale: the V-Class rise
-  // must be smaller (the paper's headline comparison).
-  const auto sgi1 = runner.run(kOrigin, tpch::QueryId::Q6, 1, opts.trials);
-  const auto sgi8 = runner.run(kOrigin, tpch::QueryId::Q6, 8, opts.trials);
-  const double sgi_rise = sgi8.cycles_per_minstr - sgi1.cycles_per_minstr;
-  const double hpv_rise = sweep.at({0, 8}).cycles_per_minstr -
-                          sweep.at({0, 1}).cycles_per_minstr;
-  return report_claims(
-      {{"thread time rises only slowly on the V-Class (<8% at 8 procs)",
-        slow_increase},
-       {"V-Class rise is smaller than the Origin's (cheaper communication)",
-        hpv_rise < sgi_rise}});
+void print_fig7(const CellBatch& batch, const core::BenchOptions&) {
+  print_sweep("Fig. 7 V-Class thread time (cycles / 1M instructions)", batch,
+              kVClass, &core::RunResult::cycles_per_minstr, 0);
 }
 
-// Fig. 8 — V-Class data-cache misses per 1M instructions vs process count.
-//
-// Paper findings: a moderate increase with process count, consistent with
-// the Origin's L2 behaviour once the hierarchy difference is accounted for;
-// cold/capacity misses stay the dominant component throughout.
-int fig8_vclass_dcache_misses(const core::BenchOptions& opts) {
-  auto runner = make_runner(opts);
-  const auto sweep = run_sweep(runner, kVClass, opts);
-
-  core::print_figure(
-      std::cout, "Fig. 8 V-Class D-cache misses / 1M instructions",
-      sweep_table(sweep, &core::RunResult::l1d_per_minstr, 1));
-
-  Table comp({"query", "dirty-miss share @8p (%)"});
-  std::vector<double> share(3);
-  for (int qi = 0; qi < 3; ++qi) {
-    const auto& m = sweep.at({qi, 8}).mean;
-    share[qi] = 100.0 * static_cast<double>(m.dirty_misses) /
-                static_cast<double>(m.l1d_misses);
-    comp.add_row({std::string(tpch::query_name(core::kQueries[qi])),
-                  Table::num(share[qi], 1)});
-  }
-  core::print_figure(std::cout, "Miss composition at 8 processes", comp);
-
-  bool moderate = true, capacity_dominant = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    const double v1 = sweep.at({qi, 1}).l1d_per_minstr;
-    const double v8 = sweep.at({qi, 8}).l1d_per_minstr;
-    moderate = moderate && v8 >= v1 && (v8 - v1) / v1 < 0.30;
-    capacity_dominant = capacity_dominant && share[qi] < 50.0;
-  }
-  return report_claims(
-      {{"misses increase moderately with process count", moderate},
-       {"cold/capacity misses remain the major contributor at 8 processes",
-        capacity_dominant}});
+void print_fig8(const CellBatch& batch, const core::BenchOptions&) {
+  print_sweep("Fig. 8 V-Class D-cache misses / 1M instructions", batch,
+              kVClass, &core::RunResult::l1d_per_minstr, 1);
+  print_at_8("Miss composition at 8 processes", "dirty-miss share @8p (%)",
+             batch, kVClass, 1, [](const core::RunResult& r) {
+               return core::dirty_miss_pct(r, r.mean.l1d_misses);
+             });
 }
 
-// Fig. 9 — V-Class memory latency vs process count.
-//
-// Paper findings (Section 4.2.3): a big jump from 1 to 2 processes — the
-// second reader of a line held Exclusive pays an owner intervention — then a
-// *decrease* from 2 to 4, because once lines sit Shared at the home, later
-// readers are served directly from memory. The paper walks through how the
-// migratory protocol enhancement interacts with this (a loss for read-shared
-// data pages, a win for lock-information lines).
-int fig9_vclass_memory_latency(const core::BenchOptions& opts) {
-  auto runner = make_runner(opts);
-  const auto sweep = run_sweep(runner, kVClass, opts);
-
-  core::print_figure(
-      std::cout,
-      "Fig. 9 V-Class memory latency (avg cycles per memory request)",
-      sweep_table(sweep, &core::RunResult::avg_mem_latency, 1));
-
-  // Also show the migratory-transfer rate: the protocol's lock-access win.
-  Table mig({"query", "migratory transfers @8p (per process)"});
-  for (int qi = 0; qi < 3; ++qi) {
-    mig.add_row({std::string(tpch::query_name(core::kQueries[qi])),
-                 Table::num(static_cast<double>(
-                                sweep.at({qi, 8}).mean.migratory_transfers) /
-                                8 / opts.trials,
-                            0)});
-  }
-  core::print_figure(std::cout, "Migratory handoffs (protocol enhancement)",
-                     mig);
-
-  bool jump12 = true, flattens = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    const double v1 = sweep.at({qi, 1}).avg_mem_latency;
-    const double v2 = sweep.at({qi, 2}).avg_mem_latency;
-    const double v8 = sweep.at({qi, 8}).avg_mem_latency;
-    jump12 = jump12 && v2 > v1 + 2.0;
-    // After the jump, latency flattens: the 2->8 change stays within the
-    // 1->2 jump (the paper even sees a slight decline 2->4). Q21 creeps a
-    // little as its lock/header dirty-miss traffic scales.
-    flattens = flattens && std::abs(v8 - v2) < v2 - v1;
-  }
-  // The sequential query's latency peaks early and declines by 8 processes:
-  // once a line sits Shared at the home, later readers are served directly.
-  const double q6_peak = std::max(sweep.at({0, 2}).avg_mem_latency,
-                                  sweep.at({0, 4}).avg_mem_latency);
-  const bool q6_declines = sweep.at({0, 8}).avg_mem_latency < q6_peak;
-  return report_claims(
-      {{"big latency increase from 1 to 2 processes", jump12},
-       {"latency flattens beyond 2 processes (read-shared lines served "
-        "from home)",
-        flattens},
-       {"sequential query latency declines from its peak by 8 processes",
-        q6_declines}});
+void print_fig9(const CellBatch& batch, const core::BenchOptions& opts) {
+  print_sweep("Fig. 9 V-Class memory latency (avg cycles per memory request)",
+              batch, kVClass, &core::RunResult::avg_mem_latency, 1);
+  print_at_8("Migratory handoffs (protocol enhancement)",
+             "migratory transfers @8p (per process)", batch, kVClass, 0,
+             [&](const core::RunResult& r) {
+               return static_cast<double>(r.mean.migratory_transfers) / 8 /
+                      opts.trials;
+             });
 }
 
-// Fig. 10 — V-Class voluntary and involuntary context switches per 1M
-// instructions vs process count.
-//
-// Paper findings (Section 4.2.4): with one process almost all switches are
-// involuntary; with two or more, voluntary switches (the DBMS spinlock's
-// select() backoff) appear and grow with process count; involuntary
-// switches grow only slowly and are *not* a function of the query type.
-int fig10_vclass_context_switches(const core::BenchOptions& opts) {
-  auto runner = make_runner(opts);
-  const auto sweep = run_sweep(runner, kVClass, opts);
-
+void print_fig10(const CellBatch& batch, const core::BenchOptions&) {
   Table t({"processes", "Q6 vol", "Q6 invol", "Q21 vol", "Q21 invol",
            "Q12 vol", "Q12 invol"});
   for (u32 np : core::kProcSeries) {
     std::vector<std::string> row{std::to_string(np)};
-    for (int qi = 0; qi < 3; ++qi) {
-      row.push_back(Table::num(sweep.at({qi, np}).vol_ctx_per_minstr, 3));
-      row.push_back(Table::num(sweep.at({qi, np}).invol_ctx_per_minstr, 3));
+    for (auto q : core::kQueries) {
+      const core::RunResult& r = batch.at({kVClass, q, np});
+      row.push_back(Table::num(r.vol_ctx_per_minstr, 3));
+      row.push_back(Table::num(r.invol_ctx_per_minstr, 3));
     }
     t.add_row(std::move(row));
   }
   core::print_figure(
       std::cout, "Fig. 10 V-Class context switches / 1M instructions", t);
-
-  bool one_proc_involuntary = true, vol_grows = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    one_proc_involuntary =
-        one_proc_involuntary &&
-        sweep.at({qi, 1}).vol_ctx_per_minstr <
-            0.2 * sweep.at({qi, 1}).invol_ctx_per_minstr + 1e-9;
-    vol_grows = vol_grows && sweep.at({qi, 8}).vol_ctx_per_minstr >=
-                                 sweep.at({qi, 2}).vol_ctx_per_minstr;
-  }
-  // Voluntary dominance at >=2 processes holds for the index query, whose
-  // buffer-manager lock rate is high (see EXPERIMENTS.md for discussion).
-  const bool q21_vol_dominates =
-      sweep.at({1, 2}).vol_ctx_per_minstr >
-      sweep.at({1, 2}).invol_ctx_per_minstr;
-  // Involuntary rate is query-independent: compare the three at 8 procs.
-  const double i0 = sweep.at({0, 8}).invol_ctx_per_minstr;
-  const double i1 = sweep.at({1, 8}).invol_ctx_per_minstr;
-  const double i2 = sweep.at({2, 8}).invol_ctx_per_minstr;
-  const double imax = std::max({i0, i1, i2});
-  const double imin = std::min({i0, i1, i2});
-  bool invol_slow_growth = true;
-  for (int qi = 0; qi < 3; ++qi) {
-    invol_slow_growth = invol_slow_growth &&
-                        sweep.at({qi, 8}).invol_ctx_per_minstr >
-                            sweep.at({qi, 1}).invol_ctx_per_minstr;
-  }
-  return report_claims(
-      {{"1 process: context switches are almost all involuntary",
-        one_proc_involuntary},
-       {"voluntary switches appear at 2 processes and grow with count",
-        vol_grows},
-       {"voluntary > involuntary for the lock-heavy index query at >=2",
-        q21_vol_dominates},
-       {"involuntary switches grow slowly with process count",
-        invol_slow_growth},
-       {"involuntary rate is not a function of query type (within 25%)",
-        (imax - imin) / imax < 0.25}});
 }
+
+}  // namespace
+
+// Each experiment draws the figure row named after it.
+#define DSS_FIGURE(name, print) \
+  int name(const core::BenchOptions& o) { return run_figure(o, #name, print); }
+DSS_FIGURE(fig2_thread_time, print_fig2)
+DSS_FIGURE(fig3_cpi, print_fig3)
+DSS_FIGURE(fig4_dcache_misses, print_fig4)
+DSS_FIGURE(fig5_origin_thread_time, print_fig5)
+DSS_FIGURE(fig6_origin_l2_misses, print_fig6)
+DSS_FIGURE(fig7_vclass_thread_time, print_fig7)
+DSS_FIGURE(fig8_vclass_dcache_misses, print_fig8)
+DSS_FIGURE(fig9_vclass_memory_latency, print_fig9)
+DSS_FIGURE(fig10_vclass_context_switches, print_fig10)
+#undef DSS_FIGURE
 
 }  // namespace dss::bench

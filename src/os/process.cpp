@@ -25,7 +25,7 @@ void Process::advance(double cycles, bool spinning, bool attributed) {
     now_ += whole;
     ctr_.cycles += whole;
     if (spinning) ctr_.spin_cycles += whole;
-    if (!attributed && machine_.attribution()) {
+    if (!attributed) {
       // Compute/spin work: the whole cycles actually banked go to the
       // matching CPI-stack bucket (stall cycles arrive pre-attributed).
       if (spinning) {
@@ -49,7 +49,7 @@ void Process::check_timeslice() {
     const u64 cost = machine_.config().ctx_switch_cost;
     now_ += cost;
     ctr_.cycles += cost;
-    if (machine_.attribution()) ctr_.stack.sched += cost;
+    ctr_.stack.sched += cost;
     slice_end_ += timeslice_ + cost;
   }
 }
@@ -71,7 +71,7 @@ void Process::read(sim::SimAddr a, u32 len) {
   if (stall > 0) {
     // Integer stalls land whole in the clock (the fractional accumulator
     // stays < 1), so the machine's per-part split conserves exactly.
-    if (machine_.attribution()) ctr_.stack += machine_.stall_parts(cpu_);
+    ctr_.stack += machine_.stall_parts(cpu_);
     advance(static_cast<double>(stall), false, /*attributed=*/true);
   }
 }
@@ -79,7 +79,7 @@ void Process::read(sim::SimAddr a, u32 len) {
 void Process::write(sim::SimAddr a, u32 len) {
   const u64 stall = machine_.access(cpu_, sim::AccessKind::Write, a, len, now_);
   if (stall > 0) {
-    if (machine_.attribution()) ctr_.stack += machine_.stall_parts(cpu_);
+    ctr_.stack += machine_.stall_parts(cpu_);
     advance(static_cast<double>(stall), false, /*attributed=*/true);
   }
 }
@@ -88,7 +88,7 @@ void Process::atomic(sim::SimAddr a, u32 len) {
   const u64 stall =
       machine_.access(cpu_, sim::AccessKind::Atomic, a, len, now_);
   if (stall > 0) {
-    if (machine_.attribution()) ctr_.stack += machine_.stall_parts(cpu_);
+    ctr_.stack += machine_.stall_parts(cpu_);
     advance(static_cast<double>(stall), true, /*attributed=*/true);
   }
 }

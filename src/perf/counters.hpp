@@ -178,8 +178,7 @@ struct Counters {
   u64 tuples_scanned = 0;
   u64 index_descents = 0;
 
-  // Attribution (populated when MachineSim::attribution() is on, the
-  // default; purely observational — never feeds back into timing).
+  // Attribution (purely observational — never feeds back into timing).
   MissBreakdown l1_miss_causes;  ///< why each L1 miss happened
   MissBreakdown l2_miss_causes;  ///< why each last-level miss happened
   /// Last-level misses per DBMS object class (sums to last-level misses).

@@ -274,8 +274,8 @@ void pipeline_worker(EpochPipeline& pl, u32 w, u32 workers,
       const std::size_t lo = e == 0 ? 0 : plan.cut_end[e - 1];
       const std::size_t hi = plan.cut_end[e];
       if (e > 0 && opts.on_epoch) opts.on_epoch(s, e);
-      // The machine folds each reference's stall (and, under attribution,
-      // its CPI-stack parts) into the attached shard counters.
+      // The machine folds each reference's stall and its CPI-stack parts
+      // into the attached shard counters.
       m.access_batch(plan.base + lo, hi - lo);
       if (e + 1 == pl.epochs) {
         if (opts.on_shard_done) opts.on_shard_done(s, m);
@@ -585,7 +585,6 @@ std::vector<perf::Counters> replay_batched(
   std::vector<std::vector<perf::Counters>> shard_ctr(S);
   for (u32 s = 0; s < S; ++s) {
     machines.push_back(std::make_unique<MachineSim>(shard_cfg));
-    machines[s]->set_attribution(opts.attribution);
     shard_ctr[s].assign(nproc, perf::Counters{});
     for (u32 p = 0; p < nproc; ++p) {
       machines[s]->attach_counters(p, &shard_ctr[s][p]);
@@ -628,10 +627,8 @@ std::vector<perf::Counters> replay_batched(
     result[p].instructions += ct.instr_total[p];
     result[p].cycles += ct.gap_cycles_total[p] + ct.tlb_stall_total[p];
     result[p].tlb_misses += ct.tlb_miss_total[p];
-    if (opts.attribution) {
-      result[p].stack.compute += ct.gap_cycles_total[p];
-      result[p].stack.tlb += ct.tlb_stall_total[p];
-    }
+    result[p].stack.compute += ct.gap_cycles_total[p];
+    result[p].stack.tlb += ct.tlb_stall_total[p];
   }
   for (u32 s = 0; s < S; ++s) {
     for (u32 p = 0; p < nproc; ++p) machines[s]->attach_counters(p, nullptr);

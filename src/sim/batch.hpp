@@ -149,9 +149,6 @@ struct ReplayOptions {
   /// contention model entirely, matching legacy `sim::replay` (whose
   /// queueing estimate stays zero because it never begins an epoch).
   u64 epoch_records = 0;
-  /// Miss-cause / CPI-stack attribution (observation-only; all other
-  /// counters and every cycle count are bit-identical either way).
-  bool attribution = true;
   /// Pool for the compile, the routing and the shard workers; nullptr (or
   /// a single-thread pool) runs everything on the calling thread. Results
   /// never depend on this.

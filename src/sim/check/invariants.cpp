@@ -287,47 +287,45 @@ void InvariantChecker::full_sweep() {
           << last_misses << ")";
       report(oss.str(), 0, p);
     }
-    if (m_.attribution()) {
-      // I8: every miss has exactly one recorded cause, and every last-level
-      // miss exactly one object class.
-      if (c->l1_miss_causes.total() != c->l1d_misses) {
-        std::ostringstream oss;
-        oss << "I8: L1 miss causes sum to " << c->l1_miss_causes.total()
-            << " but l1d_misses is " << c->l1d_misses;
-        report(oss.str(), 0, p);
+    // I8: every miss has exactly one recorded cause, and every last-level
+    // miss exactly one object class.
+    if (c->l1_miss_causes.total() != c->l1d_misses) {
+      std::ostringstream oss;
+      oss << "I8: L1 miss causes sum to " << c->l1_miss_causes.total()
+          << " but l1d_misses is " << c->l1d_misses;
+      report(oss.str(), 0, p);
+    }
+    if (c->l2_miss_causes.total() != (last > 0 ? c->l2d_misses : u64{0})) {
+      std::ostringstream oss;
+      oss << "I8: L2 miss causes sum to " << c->l2_miss_causes.total()
+          << " but l2d_misses is " << c->l2d_misses;
+      report(oss.str(), 0, p);
+    }
+    u64 obj_total = 0;
+    for (u32 i = 0; i < perf::kNumObjClasses; ++i) {
+      obj_total += c->obj_misses[i];
+      if (c->obj_comm_misses[i] > c->obj_misses[i]) {
+        report("I8: communication misses exceed total misses for object "
+               "class " +
+                   std::string(perf::obj_class_name(
+                       static_cast<perf::ObjClass>(i))),
+               0, p);
       }
-      if (c->l2_miss_causes.total() != (last > 0 ? c->l2d_misses : u64{0})) {
-        std::ostringstream oss;
-        oss << "I8: L2 miss causes sum to " << c->l2_miss_causes.total()
-            << " but l2d_misses is " << c->l2d_misses;
-        report(oss.str(), 0, p);
-      }
-      u64 obj_total = 0;
-      for (u32 i = 0; i < perf::kNumObjClasses; ++i) {
-        obj_total += c->obj_misses[i];
-        if (c->obj_comm_misses[i] > c->obj_misses[i]) {
-          report("I8: communication misses exceed total misses for object "
-                 "class " +
-                     std::string(perf::obj_class_name(
-                         static_cast<perf::ObjClass>(i))),
-                 0, p);
-        }
-      }
-      if (obj_total != last_misses) {
-        std::ostringstream oss;
-        oss << "I8: object-class misses sum to " << obj_total
-            << " but last-level misses is " << last_misses;
-        report(oss.str(), 0, p);
-      }
-      // I9: the CPI stack conserves against the cycle counter. Both lag the
-      // in-flight access identically (the OS folds the machine's stall
-      // parts in the instant it banks the stall cycles).
-      if (c->stack.total() != c->cycles) {
-        std::ostringstream oss;
-        oss << "I9: CPI stack sums to " << c->stack.total() << " but cycles is "
-            << c->cycles;
-        report(oss.str(), 0, p);
-      }
+    }
+    if (obj_total != last_misses) {
+      std::ostringstream oss;
+      oss << "I8: object-class misses sum to " << obj_total
+          << " but last-level misses is " << last_misses;
+      report(oss.str(), 0, p);
+    }
+    // I9: the CPI stack conserves against the cycle counter. Both lag the
+    // in-flight access identically (the OS folds the machine's stall
+    // parts in the instant it banks the stall cycles).
+    if (c->stack.total() != c->cycles) {
+      std::ostringstream oss;
+      oss << "I9: CPI stack sums to " << c->stack.total() << " but cycles is "
+          << c->cycles;
+      report(oss.str(), 0, p);
     }
     sum_dirty += c->dirty_misses;
     sum_interventions += c->cache_interventions;

@@ -180,11 +180,9 @@ u64 MachineSim::access_detailed(u32 proc, AccessKind kind, SimAddr addr,
           break;
       }
       if (tlb + atomic == 0) return 0;
-      if (attrib_) {
-        parts_[proc] = perf::CpiStack{};
-        parts_[proc].tlb = tlb;
-        parts_[proc].atomics = atomic;
-      }
+      parts_[proc] = perf::CpiStack{};
+      parts_[proc].tlb = tlb;
+      parts_[proc].atomics = atomic;
       return tlb + atomic;
     }
   }
@@ -192,10 +190,8 @@ u64 MachineSim::access_detailed(u32 proc, AccessKind kind, SimAddr addr,
   // General path: stall_parts is rebuilt from zero here (the 0-stall fast
   // path above leaves it stale, which the stall_parts contract allows).
   u64 exposed = translate<true>(proc, addr, len);
-  if (attrib_) {
-    parts_[proc] = perf::CpiStack{};
-    parts_[proc].tlb = exposed;
-  }
+  parts_[proc] = perf::CpiStack{};
+  parts_[proc].tlb = exposed;
   for (u64 line = first; line <= last; ++line) {
     switch (kind) {
       case AccessKind::Read: ++c.loads; break;
@@ -259,7 +255,6 @@ void MachineSim::warm_batch(const BatchRef* refs, std::size_t n) {
 }
 
 void MachineSim::access_batch(const BatchRef* refs, std::size_t n) {
-  const bool attrib = attrib_;
   for (std::size_t i = 0; i < n; ++i) {
     prefetch_ahead(refs, i, n);
     const BatchRef& r = refs[i];
@@ -268,7 +263,7 @@ void MachineSim::access_batch(const BatchRef* refs, std::size_t n) {
     if (stall == 0) continue;  // stall_parts is undefined (and all-zero)
     perf::Counters& c = ctr(r.proc);
     c.cycles += stall;
-    if (attrib) c.stack += parts_[r.proc];
+    c.stack += parts_[r.proc];
   }
 }
 
@@ -286,7 +281,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
   const u64 unit = unit_of_l1_line(l1_line);
   // Every return path below charges `extra_atomic`, so attribute it once.
   [[maybe_unused]] perf::CpiStack& parts = parts_[proc];
-  if (kTimed && attrib_) parts.atomics += extra_atomic;
+  if constexpr (kTimed) parts.atomics += extra_atomic;
 
   // ---- L1 ----
   if (const auto st = l1_st) {
@@ -322,7 +317,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
     c.mem_latency_cycles += g.latency;
     const u64 mem_exposed = static_cast<u64>(static_cast<double>(g.latency) *
                                              cfg_.exposed_mem_frac);
-    if (attrib_) bucket_part(parts, g.bucket) += mem_exposed;
+    bucket_part(parts, g.bucket) += mem_exposed;
     return mem_exposed + extra_atomic;
   }
 
@@ -343,8 +338,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
   // overrides the local classification. The untimed path discards the
   // cause but must still record the fill — the history is warm state.
   const perf::MissCause l1_hist_cause =
-      attrib_ ? hist_[proc][0].classify_and_fill(l1_line)
-              : perf::MissCause::kCold;
+      hist_[proc][0].classify_and_fill(l1_line);
 
   // ---- L2 (Origin only) ----
   if (two_level) {
@@ -354,7 +348,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
                        static_cast<double>(ll.config().hit_latency) *
                        cfg_.exposed_l2_frac)
                  : 0;
-      if (kTimed && attrib_) {
+      if constexpr (kTimed) {
         // L1 miss served from the local L2: the local history is the cause
         // (the fill itself was recorded by classify_and_fill above).
         ++c.l1_miss_causes[l1_hist_cause];
@@ -387,7 +381,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
       c.mem_latency_cycles += g.latency;
       const u64 mem_exposed = static_cast<u64>(static_cast<double>(g.latency) *
                                                cfg_.exposed_mem_frac);
-      if (attrib_) bucket_part(parts, g.bucket) += mem_exposed;
+      bucket_part(parts, g.bucket) += mem_exposed;
       return l2_exposed + mem_exposed + extra_atomic;
     }
     if constexpr (kTimed) ++c.l2d_misses;
@@ -396,26 +390,23 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
 
   // ---- Coherence-unit transaction ----
   const perf::MissCause ll_hist_cause =
-      attrib_ && two_level ? hist_[proc][1].classify_and_fill(unit)
-                           : l1_hist_cause;
+      two_level ? hist_[proc][1].classify_and_fill(unit) : l1_hist_cause;
   const GlobalResult g = global_op<kTimed>(proc, want_excl, false, unit, now);
   if constexpr (kTimed) {
     ++c.mem_requests;
     c.mem_latency_cycles += g.latency;
-    if (attrib_) {
-      perf::MissCause l1_cause = l1_hist_cause;
-      perf::MissCause ll_cause = ll_hist_cause;
-      if (g.remote_cache) {
-        // Served through another cache's copy: a communication miss at every
-        // level regardless of local residency history.
-        l1_cause = ll_cause =
-            g.dirty ? perf::MissCause::kCohDirty : perf::MissCause::kCohClean;
-      }
-      // Fills for l1_line / unit were recorded by classify_and_fill above.
-      ++c.l1_miss_causes[l1_cause];
-      if (two_level) ++c.l2_miss_causes[ll_cause];
-      record_ll_miss(c, ll_cause, unit << ll.line_shift());
+    perf::MissCause l1_cause = l1_hist_cause;
+    perf::MissCause ll_cause = ll_hist_cause;
+    if (g.remote_cache) {
+      // Served through another cache's copy: a communication miss at every
+      // level regardless of local residency history.
+      l1_cause = ll_cause =
+          g.dirty ? perf::MissCause::kCohDirty : perf::MissCause::kCohClean;
     }
+    // Fills for l1_line / unit were recorded by classify_and_fill above.
+    ++c.l1_miss_causes[l1_cause];
+    if (two_level) ++c.l2_miss_causes[ll_cause];
+    record_ll_miss(c, ll_cause, unit << ll.line_shift());
   }
 
   if (two_level) {
@@ -439,7 +430,7 @@ u64 MachineSim::access_line(u32 proc, AccessKind kind, u64 l1_line,
   if constexpr (!kTimed) return 0;
   const u64 mem_exposed =
       static_cast<u64>(static_cast<double>(g.latency) * cfg_.exposed_mem_frac);
-  if (attrib_) bucket_part(parts, g.bucket) += mem_exposed;
+  bucket_part(parts, g.bucket) += mem_exposed;
   return mem_exposed + extra_atomic;
 }
 
@@ -611,13 +602,13 @@ bool MachineSim::invalidate_unit_at(u32 q, u64 unit_line) {
     for (u64 i = 0; i < count; ++i) {
       if (auto st = levels[0].invalidate(base_l1 + i)) {
         dirty = dirty || (*st == LineState::M);
-        if (attrib_) hist_[q][0].note_inval(base_l1 + i);
+        hist_[q][0].note_inval(base_l1 + i);
       }
     }
   }
   if (auto st = levels.back().invalidate(unit_line)) {
     dirty = dirty || (*st == LineState::M);
-    if (attrib_) hist_[q][levels.size() > 1 ? 1 : 0].note_inval(unit_line);
+    hist_[q][levels.size() > 1 ? 1 : 0].note_inval(unit_line);
   }
   if constexpr (kTimed) ++ctr(q).invalidations_recv;
   return dirty;

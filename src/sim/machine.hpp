@@ -193,8 +193,7 @@ class MachineSim {
 
   /// Issue a batch of references (at now = 0, the replay convention: no
   /// component reads absolute time) and fold each nonzero stall into the
-  /// attached counters — `cycles += stall` plus, under attribution,
-  /// `stack += stall_parts`. It is a loop over access(), so every hook
+  /// attached counters — `cycles += stall` and `stack += stall_parts`. It is a loop over access(), so every hook
   /// (observer, trace capture, TLB model) sees each reference; the loop
   /// only adds a software prefetch of the L1 set and directory slot a fixed
   /// number of references ahead.
@@ -219,7 +218,7 @@ class MachineSim {
   /// attached, `access()` consults the sampler for each reference: warm
   /// phases take the functional path above (0 stall), detailed phases run
   /// the full timing model, and the sampler snapshots attached counters at
-  /// measurement-window boundaries. Requires attribution and no observer.
+  /// measurement-window boundaries. Requires no observer.
   void set_sampler(RefSampler* s) { sampler_ = s; }
   [[nodiscard]] RefSampler* sampler() const { return sampler_; }
 
@@ -252,13 +251,6 @@ class MachineSim {
   void set_fault(CheckFault f) { fault_ = f; }
   [[nodiscard]] CheckFault fault() const { return fault_; }
 
-  /// Toggle miss-cause / CPI-stack attribution (on by default). Attribution
-  /// is observation-only: every existing counter and every returned stall is
-  /// bit-identical either way. Flip it before creating processes so the OS
-  /// layer's stall bookkeeping agrees with the machine's.
-  void set_attribution(bool on) { attrib_ = on; }
-  [[nodiscard]] bool attribution() const { return attrib_; }
-
   /// Registry used to attribute last-level misses to DBMS object classes
   /// (nullptr: shared addresses report kOther). Not owned; must outlive the
   /// simulation.
@@ -268,9 +260,8 @@ class MachineSim {
   /// only when that call returned a nonzero stall: the components then sum
   /// exactly to it. After a 0-stall call (an L1 hit, a warm reference under
   /// sampling) the contents are stale, since a 0-stall split is all-zero
-  /// and the hit path does not spend a reset on it. Only populated while
-  /// attribution is on — the caller folds this into its counter block's
-  /// `stack` as it burns a nonzero stall, and skips the fold otherwise.
+  /// and the hit path does not spend a reset on it. The caller folds this
+  /// into its counter block's `stack` as it burns a nonzero stall.
   [[nodiscard]] const perf::CpiStack& stall_parts(u32 proc) const {
     return parts_[proc];
   }
@@ -408,7 +399,6 @@ class MachineSim {
   DSS_REPLAY_SAFE TraceHook trace_hook_;
   DSS_REPLAY_SAFE ProtocolObserver* obs_ = nullptr;
   DSS_REPLAY_SAFE CheckFault fault_ = CheckFault::kNone;
-  DSS_REPLAY_SAFE bool attrib_ = true;
   /// Attached sampling schedule (nullptr: every reference is detailed).
   DSS_REPLAY_SAFE RefSampler* sampler_ = nullptr;
   DSS_REPLAY_SAFE const AddrClassRegistry* classes_ = nullptr;

@@ -71,7 +71,6 @@ std::vector<perf::Counters> full_detail(const MachineConfig& cfg,
                                         SampleReplayStats* stats) {
   ReplayOptions ropts;
   ropts.shards = opts.shards;
-  ropts.attribution = opts.attribution;
   ropts.pool = opts.pool;
   ropts.compile_cache = opts.compile_cache;
   ReplayStats rstats;
@@ -205,7 +204,6 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
   std::vector<std::vector<perf::Counters>> shard_ctr(S);
   for (u32 s = 0; s < S; ++s) {
     machines.push_back(std::make_unique<MachineSim>(shard_cfg));
-    machines[s]->set_attribution(opts.attribution);
     shard_ctr[s].assign(nproc, perf::Counters{});
   }
 
@@ -237,7 +235,7 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
             const perf::Counters& cur = shard_ctr[s][p];
             const perf::Counters& pre = snap[p];
             WindowSums& ws = sums[s];
-            // cycles accumulates every exposed stall attribution-independent.
+            // cycles accumulates every exposed stall.
             ws.stall[seg.window] +=
                 static_cast<double>(cur.cycles - pre.cycles);
             ws.l1[seg.window] +=
@@ -322,13 +320,11 @@ std::vector<perf::Counters> sample_replay(const MachineConfig& cfg,
     c.instructions += ct.instr_total[p];
     c.cycles += ct.gap_cycles_total[p] + ct.tlb_stall_total[p];
     c.tlb_misses += ct.tlb_miss_total[p];
-    if (opts.attribution) {
-      c.stack.compute += ct.gap_cycles_total[p];
-      c.stack.tlb += ct.tlb_stall_total[p];
-      // I9 on the estimates: the memory-side stack components were scaled
-      // per field; make the cycle total their exact sum.
-      c.cycles = c.stack.total();
-    }
+    c.stack.compute += ct.gap_cycles_total[p];
+    c.stack.tlb += ct.tlb_stall_total[p];
+    // I9 on the estimates: the memory-side stack components were scaled
+    // per field; make the cycle total their exact sum.
+    c.cycles = c.stack.total();
   }
 
   // Machine-wide CPI estimate: exact serial cycles plus the stall-per-ref

@@ -29,8 +29,6 @@ namespace dss::sim {
 struct SampleReplayOptions {
   /// As ReplayOptions::shards (clamped, power of two, bit-identical).
   u32 shards = 1;
-  /// As ReplayOptions::attribution.
-  bool attribution = true;
   /// As ReplayOptions::pool.
   ThreadPool* pool = nullptr;
   /// As ReplayOptions::compile_cache.
@@ -50,9 +48,9 @@ struct SampleReplayStats : ExecSampleSummary {
 /// counters shaped exactly like replay_batched's: process-side accounting
 /// (instructions, gap cycles, TLB) is exact from the compile pass, machine-
 /// event counters are measured-window deltas scaled to whole-stream
-/// estimates, and `cycles` is recomputed so invariant I9 holds under
-/// attribution. A disabled schedule degrades to full-detail replay_batched
-/// (zero-width intervals, detailed_refs == total_refs).
+/// estimates, and `cycles` is recomputed so invariant I9 holds. A disabled
+/// schedule degrades to full-detail replay_batched (zero-width intervals,
+/// detailed_refs == total_refs).
 [[nodiscard]] std::vector<perf::Counters> sample_replay(
     const MachineConfig& cfg, const std::vector<TraceRecord>& records,
     const SampleSchedule& sched, const SampleReplayOptions& opts = {},

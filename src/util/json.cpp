@@ -266,11 +266,17 @@ class Parser {
     }
     while (true) {
       skip_ws();
+      const std::size_t key_pos = pos_;
       std::string key = parse_string();
+      // A repeated key is ambiguous: readers differ on which value wins.
+      if (members.contains(key)) {
+        pos_ = key_pos;
+        fail("duplicate object key \"" + key + "\"");
+      }
       skip_ws();
       if (peek() != ':') fail("expected ':' after object key");
       ++pos_;
-      members[std::move(key)] = parse_value();
+      members.emplace(std::move(key), parse_value());
       skip_ws();
       const char c = peek();
       ++pos_;

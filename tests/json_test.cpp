@@ -79,6 +79,13 @@ TEST(JsonParse, BoundsNestingDepth) {
   EXPECT_THROW(json_parse(std::string(200'000, '{')), JsonError);
 }
 
+TEST(JsonParse, RejectsDuplicateKeys) {
+  // Keeping the last value would make {"nproc": 4, "nproc": 8} read as 8.
+  EXPECT_THROW(json_parse(R"({"nproc": 4, "nproc": 8})"), JsonError);
+  EXPECT_THROW(json_parse(R"({"a": {"b": 1, "b": 1}})"), JsonError);
+  EXPECT_NO_THROW(json_parse(R"({"a": {"b": 1}, "b": {"a": 1}})"));
+}
+
 TEST(JsonParse, TypeMismatchThrows) {
   const Json doc = json_parse("{\"n\": 3}");
   EXPECT_THROW((void)doc.as_array(), JsonError);

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "sim/trace.hpp"
 #include "sim/machine_configs.hpp"
@@ -105,6 +109,78 @@ TEST(Trace, LoadRejectsGarbage) {
     write_patched_trace(path, p.offset, p.value, p.len);
     EXPECT_FALSE(rd.load(path));
     EXPECT_TRUE(rd.records().empty());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Trace, MutatedFilesLoadValidRecordsOrNone) {
+  // A small captured trace, saved once and read back as bytes.
+  MachineSim m(cfg());
+  TraceWriter w;
+  {
+    TraceCapture guard(m, w);
+    (void)replay(m, random_trace(3, 64));
+  }
+  const std::string path = ::testing::TempDir() + "/fuzz.dsstrace";
+  ASSERT_TRUE(w.save(path));
+  std::vector<unsigned char> original(16 + w.records().size() *
+                                               kTraceRecordBytes);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(original.data(), original.size(), 1, f), 1u);
+  std::fclose(f);
+
+  // Header: magic @0, count @8; record i at 16 + 25i has kind @4, len @5
+  // and addr @9 (trace.hpp).
+  Rng rng(2024);
+  const auto pick = [&](u64 n) {
+    return static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(n) - 1));
+  };
+  const auto field = [&](std::size_t at) {
+    return 16 + pick(w.records().size()) * kTraceRecordBytes + at;
+  };
+  const u64 edge_values[] = {0, 1, 2, 63, 64, 65, 0x7fffffff, ~u64{0} - 3,
+                             ~u64{0}, u64{1} << 60};
+  TraceReader rd;
+  for (int i = 0; i < 1'000; ++i) {
+    std::vector<unsigned char> bytes = original;
+    const auto put = [&](std::size_t at, u64 value, std::size_t len) {
+      std::memcpy(bytes.data() + at, &value, len);
+    };
+    const u64 value = rng.uniform(0, 1) == 0
+                          ? edge_values[pick(std::size(edge_values))]
+                          : rng.next();
+    switch (i % 6) {
+      case 0:  // one to four bit flips anywhere
+        for (std::size_t k = 0, n = 1 + pick(4); k < n; ++k) {
+          bytes[pick(bytes.size())] ^=
+              static_cast<unsigned char>(1u << pick(8));
+        }
+        break;
+      case 1: bytes.resize(pick(bytes.size())); break;  // truncation
+      case 2: put(8, value, 8); break;                   // header count
+      case 3: put(field(5), value, 4); break;            // len
+      case 4: put(field(4), value, 1); break;            // kind
+      case 5: put(field(9), value, 8); break;            // addr
+    }
+    f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+      ASSERT_EQ(std::fwrite(bytes.data(), bytes.size(), 1, f), 1u);
+    }
+    std::fclose(f);
+
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    if (!rd.load(path)) {
+      EXPECT_TRUE(rd.records().empty());
+      continue;
+    }
+    EXPECT_LE(16 + rd.records().size() * kTraceRecordBytes, bytes.size());
+    for (const TraceRecord& r : rd.records()) {
+      ASSERT_GT(r.len, 0u);
+      ASSERT_LE(r.kind, static_cast<u8>(AccessKind::Atomic));
+      ASSERT_GE(r.addr + (r.len - 1), r.addr) << "address wraps";
+    }
   }
   std::remove(path.c_str());
 }
