@@ -262,14 +262,13 @@ struct ShardEpochResolver final : MemCtrl::EpochResolver {
 /// every shard before any resolver runs, so its publications are always
 /// ready).
 void pipeline_worker(EpochPipeline& pl, u32 w, u32 workers,
-                     const std::vector<std::unique_ptr<MachineSim>>& machines,
+                     const ShardMachines& sm,
                      const std::vector<ShardPlan>& plans,
-                     std::vector<std::vector<perf::Counters>>& shard_ctr,
                      std::vector<ShardEpochResolver>& resolvers,
                      const ReplayOptions& opts) {
   for (u64 e = 0; e < pl.epochs; ++e) {
     for (u32 s = w; s < pl.shards; s += workers) {
-      MachineSim& m = *machines[s];
+      MachineSim& m = *sm.machines[s];
       const ShardPlan& plan = plans[s];
       const std::size_t lo = e == 0 ? 0 : plan.cut_end[e - 1];
       const std::size_t hi = plan.cut_end[e];
@@ -291,7 +290,7 @@ void pipeline_worker(EpochPipeline& pl, u32 w, u32 workers,
                 pl.sealed_counts.begin() + (e * pl.shards + s) * pl.homes);
       for (u32 p = 0; p < pl.nproc; ++p) {
         pl.sealed_cycles[(e * pl.shards + s) * pl.nproc + p] =
-            shard_ctr[s][p].cycles;
+            sm.counters[s][p].cycles;
       }
       mc.reset_epoch_counts();
       resolvers[s].epoch = e + 1;
@@ -556,53 +555,68 @@ u64 TraceCompileCache::hits() const {
   return hits_;
 }
 
+u32 shard_count(const MachineConfig& cfg, u32 requested) {
+  return std::bit_floor(std::min(std::max(requested, 1u), max_shards(cfg)));
+}
+
+std::shared_ptr<const CompiledTrace> compile_shared(
+    const MachineConfig& cfg, const std::vector<TraceRecord>& records,
+    u64 epoch_records, ThreadPool* pool, TraceCompileCache* cache) {
+  if (cache != nullptr) return cache->get(cfg, records, epoch_records, pool);
+  return std::make_shared<const CompiledTrace>(
+      compile_trace(cfg, records, epoch_records, pool));
+}
+
+ShardMachines make_shard_machines(const MachineConfig& cfg, u32 S) {
+  MachineConfig shard_cfg = cfg;
+  shard_cfg.tlb_entries = 0;
+  ShardMachines sm;
+  sm.machines.reserve(S);
+  for (u32 s = 0; s < S; ++s) {
+    sm.machines.push_back(std::make_unique<MachineSim>(shard_cfg));
+  }
+  sm.counters.assign(S, std::vector<perf::Counters>(cfg.num_processors));
+  return sm;
+}
+
+void add_compile_totals(perf::Counters& c, const CompiledTrace& ct, u32 p) {
+  c.instructions += ct.instr_total[p];
+  c.cycles += ct.gap_cycles_total[p] + ct.tlb_stall_total[p];
+  c.tlb_misses += ct.tlb_miss_total[p];
+  c.stack.compute += ct.gap_cycles_total[p];
+  c.stack.tlb += ct.tlb_stall_total[p];
+}
+
 std::vector<perf::Counters> replay_batched(
     const MachineConfig& cfg, const std::vector<TraceRecord>& records,
     const ReplayOptions& opts, ReplayStats* stats) {
   const u32 nproc = cfg.num_processors;
-  const u32 shards = std::min(std::max(opts.shards, 1u), max_shards(cfg));
-  const u32 S = static_cast<u32>(std::bit_floor(shards));
-
-  std::shared_ptr<const CompiledTrace> cached;
-  CompiledTrace local;
-  if (opts.compile_cache != nullptr) {
-    cached = opts.compile_cache->get(cfg, records, opts.epoch_records,
-                                     opts.pool);
-  } else {
-    local = compile_trace(cfg, records, opts.epoch_records, opts.pool);
-  }
-  const CompiledTrace& ct = cached != nullptr ? *cached : local;
+  const u32 S = shard_count(cfg, opts.shards);
+  const std::shared_ptr<const CompiledTrace> compiled = compile_shared(
+      cfg, records, opts.epoch_records, opts.pool, opts.compile_cache);
+  const CompiledTrace& ct = *compiled;
   const std::vector<ShardPlan> plans =
       route_shards(ct, S, ct.epoch_ref_end, opts.pool);
 
-  // Shard machines run with the TLB disabled: translation was fully handled
-  // by the compile pass, and the per-processor TLB is the one structure a
-  // unit partition cannot split.
-  MachineConfig shard_cfg = cfg;
-  shard_cfg.tlb_entries = 0;
-  std::vector<std::unique_ptr<MachineSim>> machines;
-  machines.reserve(S);
-  std::vector<std::vector<perf::Counters>> shard_ctr(S);
+  ShardMachines sm = make_shard_machines(cfg, S);
   for (u32 s = 0; s < S; ++s) {
-    machines.push_back(std::make_unique<MachineSim>(shard_cfg));
-    shard_ctr[s].assign(nproc, perf::Counters{});
     for (u32 p = 0; p < nproc; ++p) {
-      machines[s]->attach_counters(p, &shard_ctr[s][p]);
+      sm.machines[s]->attach_counters(p, &sm.counters[s][p]);
     }
-    if (opts.on_shard_start) opts.on_shard_start(s, *machines[s]);
+    if (opts.on_shard_start) opts.on_shard_start(s, *sm.machines[s]);
   }
 
   // Shards run epoch-major on min(pool threads, S) workers; a single worker
   // (no pool, a one-thread pool or one shard) runs inline on this thread.
-  EpochPipeline pl(S, nproc, machines[0]->memctrl().num_homes(), ct);
+  EpochPipeline pl(S, nproc, sm.machines[0]->memctrl().num_homes(), ct);
   std::vector<ShardEpochResolver> resolvers(S);
   for (u32 s = 0; s < S; ++s) resolvers[s].pl = &pl;
   const u32 workers =
       opts.pool != nullptr ? std::min<u32>(opts.pool->size(), S) : 1;
   parallel_for_index(opts.pool, workers, [&](u64 w) {
     try {
-      pipeline_worker(pl, static_cast<u32>(w), workers, machines, plans,
-                      shard_ctr, resolvers, opts);
+      pipeline_worker(pl, static_cast<u32>(w), workers, sm, plans, resolvers,
+                      opts);
     } catch (const PipelineAbort&) {
       // A sibling failed first; its exception is the one to rethrow.
     } catch (...) {
@@ -612,26 +626,21 @@ std::vector<perf::Counters> replay_batched(
   // Disarm resolvers a request-free final epoch (or a failed run) never
   // consumed: the resolver objects die before the machines do.
   for (u32 s = 0; s < S; ++s) {
-    machines[s]->memctrl_mut().set_pending_epoch(nullptr);
+    sm.machines[s]->memctrl_mut().set_pending_epoch(nullptr);
   }
   // Every worker has returned, so the error slot is no longer written.
   if (pl.error) std::rethrow_exception(pl.error);
 
   // Merge: per-processor counters are sums of per-reference contributions,
   // so summing the shards (fixed order, exact u64 arithmetic) reproduces the
-  // serial accumulation bit-for-bit; the compile totals add the serial
-  // clock side (instructions, gap cycles, TLB) that no shard owns.
+  // serial accumulation bit-for-bit.
   std::vector<perf::Counters> result(nproc);
   for (u32 p = 0; p < nproc; ++p) {
-    for (u32 s = 0; s < S; ++s) result[p] += shard_ctr[s][p];
-    result[p].instructions += ct.instr_total[p];
-    result[p].cycles += ct.gap_cycles_total[p] + ct.tlb_stall_total[p];
-    result[p].tlb_misses += ct.tlb_miss_total[p];
-    result[p].stack.compute += ct.gap_cycles_total[p];
-    result[p].stack.tlb += ct.tlb_stall_total[p];
+    for (u32 s = 0; s < S; ++s) result[p] += sm.counters[s][p];
+    add_compile_totals(result[p], ct, p);
   }
   for (u32 s = 0; s < S; ++s) {
-    for (u32 p = 0; p < nproc; ++p) machines[s]->attach_counters(p, nullptr);
+    for (u32 p = 0; p < nproc; ++p) sm.machines[s]->attach_counters(p, nullptr);
   }
   if (stats != nullptr) {
     stats->records = records.size();

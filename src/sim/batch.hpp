@@ -187,6 +187,32 @@ struct ReplayStats {
 /// coherence unit. Above this, two shards could race on one cache set.
 [[nodiscard]] u32 max_shards(const MachineConfig& cfg);
 
+/// `requested` shards clamped to [1, max_shards(cfg)] and rounded down to a
+/// power of two: the shard count every sharded replay of `cfg` runs at.
+[[nodiscard]] u32 shard_count(const MachineConfig& cfg, u32 requested);
+
+/// compile_trace through `cache` when one is given, a private compile
+/// otherwise (bit-identical either way).
+[[nodiscard]] std::shared_ptr<const CompiledTrace> compile_shared(
+    const MachineConfig& cfg, const std::vector<TraceRecord>& records,
+    u64 epoch_records, ThreadPool* pool, TraceCompileCache* cache);
+
+/// The S machines of a sharded replay, each with one zeroed, unattached
+/// counter block per processor. They run with the TLB model off: the
+/// compile pass handled translation, and the per-processor TLB is the one
+/// structure a unit partition cannot split.
+struct ShardMachines {
+  std::vector<std::unique_ptr<MachineSim>> machines;  ///< [shard]
+  std::vector<std::vector<perf::Counters>> counters;  ///< [shard][proc]
+};
+[[nodiscard]] ShardMachines make_shard_machines(const MachineConfig& cfg,
+                                                u32 S);
+
+/// Fold processor `p`'s serial side from the compile pass — instructions,
+/// gap cycles, TLB stalls and refills, which no shard owns — into `c`,
+/// keeping stack.total() == cycles.
+void add_compile_totals(perf::Counters& c, const CompiledTrace& ct, u32 p);
+
 /// Replay `records` against machine model `cfg` and return merged per-
 /// processor counters (indexed by processor id, `records[i].proc %
 /// cfg.num_processors`). With default options the result equals legacy

@@ -7,7 +7,9 @@
 // unmeasured, and everything else runs MachineSim's functional-warming path
 // (bit-identical state, no cycle accounting). Per-window counter deltas are
 // scaled to whole-stream estimates with 95% confidence intervals from the
-// per-window spread.
+// per-window spread. The schedule, the window estimator (WindowSums) and the
+// scaling step (scale_to_stream) are the execution-driven sampler's
+// (sampler.hpp); this file adds only the shard routing of the phases.
 //
 // Determinism: the schedule is a pure function of the compiled ref index and
 // phases partition each shard's sub-stream in stream order, so sampled
@@ -37,20 +39,19 @@ struct SampleReplayOptions {
 
 /// Reference accounting and per-metric estimates of one sampled replay: the
 /// execution-driven summary (its refs are compiled BatchRefs here) plus the
-/// replay's own provenance and a machine-wide CPI estimate.
+/// replay's own provenance.
 struct SampleReplayStats : ExecSampleSummary {
   u64 records = 0;  ///< input trace records
   u32 shards_used = 1;
-  Estimate cpi;  ///< machine-wide cycles per instruction
 };
 
 /// Sampled replay of `records` under `sched`. Returns merged per-processor
 /// counters shaped exactly like replay_batched's: process-side accounting
 /// (instructions, gap cycles, TLB) is exact from the compile pass, machine-
 /// event counters are measured-window deltas scaled to whole-stream
-/// estimates, and `cycles` is recomputed so invariant I9 holds. A disabled
-/// schedule degrades to full-detail replay_batched (zero-width intervals,
-/// detailed_refs == total_refs).
+/// estimates, and `cycles` is recomputed so invariant I9 holds. Throws
+/// std::invalid_argument on a disabled schedule (full detail is
+/// replay_batched).
 [[nodiscard]] std::vector<perf::Counters> sample_replay(
     const MachineConfig& cfg, const std::vector<TraceRecord>& records,
     const SampleSchedule& sched, const SampleReplayOptions& opts = {},

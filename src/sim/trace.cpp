@@ -56,13 +56,14 @@ bool TraceReader::load(const std::string& path) {
             std::memcmp(magic, kMagic, sizeof magic) == 0;
   u64 n = 0;
   ok = ok && std::fread(&n, sizeof n, 1, f) == 1;
-  // The header count is untrusted: check it against the bytes the file
-  // actually holds before allocating anything for it.
+  // The header count is untrusted: the file must hold exactly that many
+  // records, checked before allocating anything for them.
   const long header_end = ok ? std::ftell(f) : -1;
   ok = ok && header_end >= 0 && std::fseek(f, 0, SEEK_END) == 0;
   const long file_end = ok ? std::ftell(f) : -1;
   ok = ok && file_end >= header_end &&
-       n <= static_cast<u64>(file_end - header_end) / kTraceRecordBytes &&
+       static_cast<u64>(file_end - header_end) % kTraceRecordBytes == 0 &&
+       n == static_cast<u64>(file_end - header_end) / kTraceRecordBytes &&
        std::fseek(f, header_end, SEEK_SET) == 0;
   if (ok && n != 0) {
     std::vector<unsigned char> wire(n * kTraceRecordBytes);

@@ -1,5 +1,5 @@
-// Fixture: wall-clock reads outside src/perf/ are findings — simulated
-// time must come from the machine model.
+// Fixture: wall-clock reads are findings — simulated time must come from
+// the machine model.
 #include <chrono>
 
 unsigned long stamp() {

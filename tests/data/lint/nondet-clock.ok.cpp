@@ -1,9 +1,8 @@
 // dss-lint: treat-as(src/perf/wallclock.cpp)
-// Fixture: the same clock reads are exempt under src/perf/ — host-side
-// measurement is that subtree's purpose.
-#include <chrono>
+// Fixture: time read from the machine model's cycle count is clean, even
+// under src/perf/ — no subtree may read a host clock.
+struct CycleClock {
+  unsigned long cycles = 0;
+};
 
-unsigned long stamp() {
-  return static_cast<unsigned long>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-}
+unsigned long stamp(const CycleClock& c) { return c.cycles; }

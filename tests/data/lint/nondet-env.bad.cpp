@@ -1,5 +1,5 @@
-// Fixture: environment reads outside src/perf/ are findings —
-// configuration must flow through flags so runs reproduce.
+// Fixture: environment reads are findings — configuration must flow
+// through flags so runs reproduce.
 #include <cstdlib>
 
 int scale_override() {

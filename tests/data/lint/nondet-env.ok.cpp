@@ -1,5 +1,4 @@
 // dss-lint: treat-as(src/perf/hostinfo.cpp)
-// Fixture: env reads under src/perf/ are exempt (host introspection).
-#include <cstdlib>
-
-const char* host_tag() { return std::getenv("DSS_HOST_TAG"); }
+// Fixture: configuration passed in as a parameter (from a flag) is clean,
+// even under src/perf/ — no subtree may read the environment.
+const char* host_tag(const char* flag_value) { return flag_value; }

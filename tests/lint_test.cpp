@@ -258,6 +258,23 @@ TEST(Json, FindingsCarryFileLineRule) {
   EXPECT_NE(json.find("\"line\": 1"), std::string::npos);
 }
 
+TEST(Rules, ClockAndEnvReadsInSrcPerfAreReported) {
+  // src/perf/ has no exemption: host time and the environment stay out of
+  // every linted file, the counter layer included.
+  const FileModel fm = mk("src/perf/timer.cpp",
+                          "#include <chrono>\n"
+                          "#include <cstdlib>\n"
+                          "long now_ns() {\n"
+                          "  auto t = std::chrono::steady_clock::now();\n"
+                          "  return std::getenv(\"X\") ? 0 : 1;\n"
+                          "}\n");
+  const AnalysisResult r = run({fm});
+  ASSERT_EQ(rules_of(r),
+            (std::vector<std::string>{"nondet-clock", "nondet-env"}));
+  EXPECT_EQ(r.findings[0].line, 4u);
+  EXPECT_EQ(r.findings[1].line, 5u);
+}
+
 TEST(Rules, RegistryHasTenKnownRules) {
   EXPECT_EQ(all_rules().size(), 10u);
   for (const Rule& r : all_rules()) {

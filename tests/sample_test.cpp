@@ -2,13 +2,15 @@
 // execution-driven sampling path through the experiment runner.
 //
 // Contracts under test:
-//   - a disabled schedule degrades sample_replay to exact replay_batched;
+//   - sample_replay refuses a disabled schedule (full detail is
+//     replay_batched);
 //   - sampled results are bit-identical across shard counts and pools;
 //   - sampled estimates land near full-detail truth at a large reduction
 //     in detailed references;
 //   - the runner's sampled trials produce estimates, CIs and accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -49,21 +51,25 @@ void expect_counters_identical(const std::vector<perf::Counters>& a,
   }
 }
 
-TEST(SampleReplay, DisabledScheduleMatchesReplayBatched) {
-  const auto recs = test_stream(RefPattern::kMixed, 30'000);
+/// Machine-wide cycles per instruction of a replay's merged counters.
+double cpi_of(const std::vector<perf::Counters>& counters) {
+  u64 cycles = 0, instr = 0;
+  for (const auto& c : counters) {
+    cycles += c.cycles;
+    instr += c.instructions;
+  }
+  return static_cast<double>(cycles) / static_cast<double>(instr);
+}
+
+TEST(SampleReplay, DisabledScheduleThrows) {
+  const auto recs = test_stream(RefPattern::kMixed, 1'000);
   const MachineConfig cfg = origin2000().scaled(64);
-
-  ReplayOptions ro;
-  const auto full = replay_batched(cfg, recs, ro);
-
-  SampleSchedule off;  // unit_records == 0
   SampleReplayStats st;
-  const auto sampled = sample_replay(cfg, recs, off, {}, &st);
-
-  expect_counters_identical(full, sampled);
-  EXPECT_EQ(st.detailed_refs, st.total_refs);
-  EXPECT_EQ(st.windows, 0u);
-  EXPECT_DOUBLE_EQ(st.stall_per_ref.ci_half, 0.0);
+  for (const SampleSchedule& off : {SampleSchedule{}, SampleSchedule{500, 1, 0},
+                                    SampleSchedule{0, 10, 200}}) {
+    EXPECT_THROW((void)sample_replay(cfg, recs, off, {}, &st),
+                 std::invalid_argument);
+  }
 }
 
 TEST(SampleReplay, BitIdenticalAcrossShardsAndPools) {
@@ -89,8 +95,9 @@ TEST(SampleReplay, BitIdenticalAcrossShardsAndPools) {
   expect_counters_identical(s1, s4);
   EXPECT_EQ(st1.detailed_refs, st4.detailed_refs);
   EXPECT_EQ(st1.windows, st4.windows);
-  EXPECT_DOUBLE_EQ(st1.cpi.mean, st4.cpi.mean);
-  EXPECT_DOUBLE_EQ(st1.cpi.ci_half, st4.cpi.ci_half);
+  EXPECT_DOUBLE_EQ(cpi_of(s1), cpi_of(s4));
+  EXPECT_DOUBLE_EQ(st1.stall_per_ref.mean, st4.stall_per_ref.mean);
+  EXPECT_DOUBLE_EQ(st1.stall_per_ref.ci_half, st4.stall_per_ref.ci_half);
 }
 
 TEST(SampleReplay, EstimatesNearFullDetailAtLargeReduction) {
@@ -98,13 +105,7 @@ TEST(SampleReplay, EstimatesNearFullDetailAtLargeReduction) {
   const MachineConfig cfg = vclass().scaled(64);
 
   const auto full = replay_batched(cfg, recs, {});
-  u64 full_cycles = 0, full_instr = 0;
-  for (const auto& c : full) {
-    full_cycles += c.cycles;
-    full_instr += c.instructions;
-  }
-  const double full_cpi =
-      static_cast<double>(full_cycles) / static_cast<double>(full_instr);
+  const double full_cpi = cpi_of(full);
 
   SampleSchedule sched;
   sched.unit_records = 500;
@@ -117,19 +118,23 @@ TEST(SampleReplay, EstimatesNearFullDetailAtLargeReduction) {
   EXPECT_GE(static_cast<double>(st.total_refs),
             20.0 * static_cast<double>(st.detailed_refs));
   EXPECT_GT(st.windows, 2u);
-  EXPECT_NEAR(st.cpi.mean, full_cpi, 0.03 * full_cpi);
+  EXPECT_NEAR(cpi_of(sampled), full_cpi, 0.03 * full_cpi);
 
   // Instructions are exact (compile-pass accounting), never estimated.
-  u64 sampled_instr = 0;
+  u64 sampled_instr = 0, full_instr = 0;
   for (const auto& c : sampled) sampled_instr += c.instructions;
+  for (const auto& c : full) full_instr += c.instructions;
   EXPECT_EQ(sampled_instr, full_instr);
 }
 
 TEST(ExecSampling, SamplerPhasesFollowTheSchedule) {
-  // RefSampler::on_access reclassifies only at phase boundaries; every
-  // reference must still get the phase the schedule defines. Schedules
-  // cover no warming, warming shorter than, equal to and longer than a
-  // unit, and warming longer than the whole lead-in to the first window.
+  // SampleSchedule::phase is the closed form at every reference, constant
+  // on [pos, phase_end(pos)) and different at phase_end(pos), and
+  // RefSampler::on_access, which asks the schedule only at phase_end, gives
+  // every reference its phase. Schedules cover no warming, warming shorter
+  // than, equal to and longer than a unit, and warming longer than the
+  // whole lead-in to the first window.
+  using Phase = SampleSchedule::Phase;
   MachineSim m(config_for(perf::Platform::VClass).scaled(256));
   const SampleSchedule scheds[] = {{10, 4, 0},  {10, 4, 3},  {10, 4, 10},
                                    {10, 4, 25}, {7, 3, 100}, {1, 2, 0},
@@ -143,9 +148,18 @@ TEST(ExecSampling, SamplerPhasesFollowTheSchedule) {
       const u64 unit = pos / sc.unit_records;
       const u64 k = sc.detail_every;
       const u64 next_window = ((unit / k) * k + k - 1) * sc.unit_records;
-      const bool detailed =
-          unit % k == k - 1 || next_window - pos <= sc.warmup_records;
-      ASSERT_EQ(s.on_access(m, 0), detailed) << "reference " << pos;
+      const Phase want = unit % k == k - 1 ? Phase::kMeasured
+                         : next_window - pos <= sc.warmup_records
+                             ? Phase::kDetail
+                             : Phase::kWarm;
+      ASSERT_EQ(sc.phase(pos), want) << "reference " << pos;
+      const u64 end = sc.phase_end(pos);
+      ASSERT_GT(end, pos) << "reference " << pos;
+      for (u64 q = pos + 1; q < end; ++q) {
+        ASSERT_EQ(sc.phase(q), want) << "reference " << q << " of run " << pos;
+      }
+      ASSERT_NE(sc.phase(end), want) << "run end " << end << " of " << pos;
+      ASSERT_EQ(s.on_access(m, 0), want != Phase::kWarm) << "reference " << pos;
     }
   }
 }

@@ -101,6 +101,8 @@ TEST(Trace, LoadRejectsGarbage) {
            // A count no 41-byte file can hold: refused before allocating.
            Patch{"count 2^60", 8, u64{1} << 60, 8},
            Patch{"count 2", 8, 2, 8},
+           // The count must match the records exactly, not bound them.
+           Patch{"count 0", 8, 0, 8},
            Patch{"kind 3", 20, 3, 1},
            Patch{"len 0", 21, 0, 4},
            Patch{"addr wraps", 25, ~u64{0} - 3, 8},

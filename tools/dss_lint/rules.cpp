@@ -50,11 +50,11 @@ const std::vector<Rule>& all_rules() {
        "(metrics, JSON, tables, protocol events) becomes nondeterministic"},
       {kNondetClock,
        "wall-clock or hardware-randomness source (rand, time, "
-       "std::chrono::*_clock::now, random_device) outside src/perf/ — "
-       "simulated time must come from the machine model"},
+       "std::chrono::*_clock::now, random_device) — simulated time must "
+       "come from the machine model"},
       {kNondetEnv,
-       "getenv outside src/perf/ — configuration must flow through flags "
-       "so a run is reproducible from its command line"},
+       "getenv — configuration must flow through flags so a run is "
+       "reproducible from its command line"},
       {kPointerKey,
        "container ordered or hashed on a pointer value: addresses differ "
        "across runs (ASLR, allocator), so order and bucketing do too"},
@@ -183,7 +183,6 @@ class Engine {
     const FileModel& fm = files_[f];
     const FileContext& ctx = contexts_[f];
     const std::string& p = ctx.effective_path;
-    const bool perf_exempt = starts_with(p, "src/perf/");
     const bool sim_core = starts_with(p, "src/sim/") ||
                           starts_with(p, "src/core/");
 
@@ -203,16 +202,14 @@ class Engine {
         }
       }
     }
-    if (!perf_exempt) {
-      for (const TokenEvent& e : fm.clock_uses) {
-        report(kNondetClock, fm.path, e.line,
-               "nondeterministic time/randomness source: " + e.what);
-      }
-      for (const TokenEvent& e : fm.env_uses) {
-        report(kNondetEnv, fm.path, e.line,
-               "environment read: " + e.what +
-                   " — pass configuration through flags");
-      }
+    for (const TokenEvent& e : fm.clock_uses) {
+      report(kNondetClock, fm.path, e.line,
+             "nondeterministic time/randomness source: " + e.what);
+    }
+    for (const TokenEvent& e : fm.env_uses) {
+      report(kNondetEnv, fm.path, e.line,
+             "environment read: " + e.what +
+                 " — pass configuration through flags");
     }
     for (const TokenEvent& e : fm.pointer_keys) {
       report(kPointerKey, fm.path, e.line, e.what);

@@ -46,11 +46,13 @@ struct AnalysisOptions {
   /// Functions whose bodies seed the shard-safety reachability analysis.
   /// Covers the detailed replay core, the functional-warming path of
   /// sampled replay (warm_* run on the same pool-sharded machines), and the
-  /// pool-worker entry points (pipeline_worker runs shards there;
-  /// compile_trace and route_shards run their chunked scans there).
+  /// pool-worker entry points (pipeline_worker and replay_shard_phases run
+  /// shards there; compile_trace and route_shards run their chunked scans
+  /// there).
   std::vector<std::string> shard_roots = {
-      "access_batch",  "replay_batched",  "warm_batch",    "warm_access",
-      "sample_replay", "pipeline_worker", "compile_trace", "route_shards"};
+      "access_batch",        "replay_batched",  "warm_batch",
+      "warm_access",         "sample_replay",   "pipeline_worker",
+      "replay_shard_phases", "compile_trace",   "route_shards"};
   /// Functions whose bodies the hot-alloc rule bans allocation in (the
   /// `// dss-lint: hot-path` marker extends this per definition site).
   std::vector<std::string> hot_functions = {"classify_and_fill"};
