@@ -36,17 +36,9 @@ std::string fmt2(double v) {
 }  // namespace
 
 int BENCH_serving(const core::BenchOptions& opts) {
-  std::cout << "(serving scoreboard: scale 1/" << opts.scale_denom << ", seed "
-            << opts.seed << ", calibration trials " << opts.trials << ", "
-            << opts.sessions << " sessions, jobs "
-            << (opts.jobs == 0 ? dss::ThreadPool::default_jobs() : opts.jobs)
-            << ")\n";
-
-  // The runner is constructed directly — not via make_runner — because the
-  // automatic metrics export would record every calibration-ladder cell;
-  // the serving export below carries only the serving cells.
-  core::ExperimentRunner runner(core::ScaleConfig{opts.scale_denom}, opts.seed,
-                                opts.jobs);
+  std::cout << "(serving scoreboard: " << opts.sessions
+            << " sessions; the trials calibrate service times)\n";
+  auto runner = make_runner(opts);
 
   const std::vector<double> loads = opts.target_load > 0.0
                                         ? std::vector<double>{opts.target_load}

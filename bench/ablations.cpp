@@ -25,7 +25,7 @@ int abl_migratory(const core::BenchOptions& opts) {
           [](sim::MachineConfig& mc) { mc.migratory_opt = false; }));
     }
   }
-  const auto results = runner.run_cells(cfgs);
+  const auto results = run_exported(opts, runner, cfgs);
 
   Table t({"query", "nproc", "migratory: cycles", "off: cycles",
            "migratory: memlat", "off: memlat", "migratory: upgrades",
@@ -75,7 +75,7 @@ int abl_speculative(const core::BenchOptions& opts) {
           [](sim::MachineConfig& mc) { mc.speculative_reply = false; }));
     }
   }
-  const auto results = runner.run_cells(cfgs);
+  const auto results = run_exported(opts, runner, cfgs);
 
   Table t({"query", "nproc", "spec: memlat", "no-spec: memlat",
            "spec: cycles", "no-spec: cycles"});
@@ -117,7 +117,7 @@ int abl_linesize(const core::BenchOptions& opts) {
         cfg, "l2_line=32 B",
         [](sim::MachineConfig& mc) { mc.dcache[1].line_bytes = 32; }));
   }
-  const auto results = runner.run_cells(cfgs);
+  const auto results = run_exported(opts, runner, cfgs);
 
   Table t({"query", "L2 line 32B: misses", "L2 line 128B: misses",
            "reduction x"});
@@ -158,7 +158,7 @@ int abl_cachesize(const core::BenchOptions& opts) {
           [sz](sim::MachineConfig& mc) { mc.dcache[1].size_bytes = sz; }));
     }
   }
-  const auto results = runner.run_cells(cfgs);
+  const auto results = run_exported(opts, runner, cfgs);
 
   Table t({"L2 size (unscaled)", "Q6 misses", "Q21 misses", "Q12 misses"});
   std::map<std::pair<int, u64>, double> misses;  // (query index, size)
@@ -202,7 +202,7 @@ int abl_backoff(const core::BenchOptions& opts) {
     cfg.variant = "backoff=spin";
     cfgs.push_back(cfg);
   }
-  const auto results = runner.run_cells(cfgs);
+  const auto results = run_exported(opts, runner, cfgs);
 
   Table t({"nproc", "select(): wall s", "spin: wall s", "select(): vol/1Mi",
            "spin: vol/1Mi", "select(): spin-cycle %", "spin: spin-cycle %"});
@@ -273,7 +273,7 @@ int abl_placement(const core::BenchOptions& opts) {
           [&pl](sim::MachineConfig& mc) { mc.shared_home_nodes = pl.homes; }));
     }
   }
-  const auto results = runner.run_cells(cfgs);
+  const auto results = run_exported(opts, runner, cfgs);
 
   Table t({"placement", "nproc", "cycles/1Mi", "memlat", "remote %"});
   std::map<std::pair<std::string, u32>, double> cpm;

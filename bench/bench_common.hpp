@@ -3,12 +3,15 @@
 // Every experiment prints its figure as an aligned table plus a CSV block
 // and ends with a "paper claims" section checking the qualitative
 // statements the figure supports (recorded in EXPERIMENTS.md); its exit
-// status is the number of claims that do not reproduce.
+// status is the number of claims that do not reproduce. An experiment
+// writes its `--metrics` document itself, through write_export(), and
+// reports a failure by throwing: `dss_bench` prints it and exits 2.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,10 +64,6 @@ inline core::ExperimentRunner make_runner(const core::BenchOptions& o) {
   core::ExperimentRunner runner(core::ScaleConfig{o.scale_denom}, o.seed,
                                 o.jobs);
   runner.set_check(o.check);
-  if (!o.metrics_path.empty()) {
-    runner.set_metrics_export(o.bench_name, o.metrics_path);
-    std::cout << "(exporting run metrics to " << o.metrics_path << ")\n";
-  }
   const sim::SampleSchedule sched = o.sample_schedule();
   if (sched.enabled()) {
     runner.set_sampling(sched);
@@ -80,6 +79,7 @@ inline core::ExperimentRunner make_runner(const core::BenchOptions& o) {
 }
 
 /// Write `cells` to the --metrics path as one document, if a path was given.
+/// Throws std::runtime_error when the file cannot be written.
 inline void write_export(const core::BenchOptions& o,
                          std::vector<core::ExportCell> cells) {
   if (o.metrics_path.empty()) return;
@@ -87,6 +87,36 @@ inline void write_export(const core::BenchOptions& o,
       o.metrics_path,
       core::MetricsDoc{o.bench_name, o.scale_denom, o.seed, std::move(cells)});
   std::cout << "(exported run metrics to " << o.metrics_path << ")\n";
+}
+
+/// Run `cfgs` as one run_cells batch and export them in `cfgs` order.
+inline std::vector<core::RunResult> run_exported(
+    const core::BenchOptions& o, core::ExperimentRunner& runner,
+    std::span<const core::ExperimentConfig> cfgs) {
+  std::vector<core::RunResult> results = runner.run_cells(cfgs);
+  std::vector<core::ExportCell> cells;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    cells.push_back(core::export_cell(cfgs[i], results[i]));
+  }
+  write_export(o, std::move(cells));
+  return results;
+}
+
+/// Run the cells `keys` at --trials as one run_exported batch, keyed by
+/// cell.
+inline core::CellBatch run_batch_exported(const core::BenchOptions& o,
+                                          core::ExperimentRunner& runner,
+                                          std::span<const core::CellKey> keys) {
+  std::vector<core::ExperimentConfig> cfgs;
+  for (const auto& [pl, q, np] : keys) {
+    cfgs.push_back(runner.cell(pl, q, np, o.trials));
+  }
+  std::vector<core::RunResult> results = run_exported(o, runner, cfgs);
+  core::CellBatch batch;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    batch.emplace(keys[i], std::move(results[i]));
+  }
+  return batch;
 }
 
 /// `cfg` on its platform's stock machine model changed by `edit`, labelled

@@ -3,8 +3,12 @@
 //   dss_bench --list | <experiment> --help | <experiment> [flags]
 //
 // Each registry entry names the flags its experiment reads; any other flag
-// is a usage error (exit 2). The name labels the experiment's export.
+// is a usage error (exit 2). The name labels the experiment's export. The
+// exit status is the number of paper claims that do not reproduce, or 2
+// with a message when the experiment fails (an unwritable --metrics path,
+// a scale the buffer pool cannot hold, a protocol violation under --check).
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -117,6 +121,12 @@ int main(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
-  return exp->run(core::parse_bench_options(static_cast<int>(args.size()),
-                                            args.data(), exp->flags));
+  const core::BenchOptions opts = core::parse_bench_options(
+      static_cast<int>(args.size()), args.data(), exp->flags);
+  try {
+    return exp->run(opts);
+  } catch (const std::exception& e) {
+    std::cerr << command << ": " << e.what() << '\n';
+    return 2;
+  }
 }

@@ -1,4 +1,7 @@
 // Extensions: more plan shapes, query mixes and the refresh (write) path.
+#include <algorithm>
+#include <iterator>
+
 #include "bench_common.hpp"
 #include "os/process.hpp"
 #include "tpch/gen.hpp"
@@ -22,7 +25,7 @@ int ext_queries(const core::BenchOptions& opts) {
   // One batch: all twelve (query, machine) cells run concurrently.
   const auto cells =
       core::cell_grid(std::vector{kVClass, kOrigin}, all, std::vector{1u});
-  const core::CellBatch batch = core::run_batch(runner, cells, opts.trials);
+  const core::CellBatch batch = run_batch_exported(opts, runner, cells);
 
   Table t({"query", "machine", "cycles", "CPI", "L1d/1Mi", "L2d/1Mi",
            "descents", "memlat"});
@@ -66,6 +69,7 @@ int ext_mixed(const core::BenchOptions& opts) {
       tpch::QueryId::Q12, tpch::QueryId::Q14, tpch::QueryId::Q21};
 
   bool interference_bounded = true;
+  std::vector<core::ExportCell> cells;
   for (auto pl : {kVClass, kOrigin}) {
     const char* mname = pl == kVClass ? "V-Class" : "Origin";
     // Both mixes share Q6, Q21 and Q12: each solo cell runs (and is
@@ -73,12 +77,17 @@ int ext_mixed(const core::BenchOptions& opts) {
     std::map<tpch::QueryId, core::RunResult> solos;
     for (const auto& mix : {mix3, mix6}) {
       Table t({"query", "solo cycles", "mixed cycles", "slowdown"});
-      const auto mixed = runner.run_mix(pl, mix, opts.trials);
+      const auto mix_cell = runner.cell(
+          pl, mix.front(), static_cast<u32>(mix.size()), opts.trials);
+      const auto mixed = runner.run_mix(mix_cell, mix);
+      std::ranges::move(core::export_mix(mix_cell, mix, mixed),
+                        std::back_inserter(cells));
       for (std::size_t i = 0; i < mix.size(); ++i) {
         auto it = solos.find(mix[i]);
         if (it == solos.end()) {
-          it = solos.emplace(mix[i], runner.run(pl, mix[i], 1, opts.trials))
-                   .first;
+          const auto solo = runner.cell(pl, mix[i], 1, opts.trials);
+          it = solos.emplace(mix[i], runner.run(solo)).first;
+          cells.push_back(core::export_cell(solo, it->second));
         }
         const core::RunResult& solo = it->second;
         const double slow =
@@ -96,6 +105,7 @@ int ext_mixed(const core::BenchOptions& opts) {
                          t);
     }
   }
+  write_export(opts, std::move(cells));
   return report_claims(
       {{"read-only DSS queries interfere mildly (thread-time slowdown "
         "<25%), like the paper's same-query runs",

@@ -61,15 +61,15 @@ void print_at_8(const std::string& title, const std::string& header,
   core::print_figure(std::cout, title, t);
 }
 
-/// The one figure driver: run the cells of `experiment`'s row as one batch,
-/// print the figure, then report the row's claims. Returns the number of
-/// claims that do not reproduce.
+/// The one figure body: run and export the cells of `experiment`'s row as
+/// one batch, print the figure, then report the row's claims. Returns the
+/// number of claims that do not reproduce.
 int run_figure(const core::BenchOptions& opts, std::string_view experiment,
                void (*print)(const CellBatch&, const core::BenchOptions&)) {
   for (const core::Figure& fig : core::figures()) {
     if (fig.experiment != experiment) continue;
     auto runner = make_runner(opts);
-    const CellBatch batch = core::run_batch(runner, fig.cells, opts.trials);
+    const CellBatch batch = run_batch_exported(opts, runner, fig.cells);
     print(batch, opts);
     return report_claims(fig.claims(batch));
   }

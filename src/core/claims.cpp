@@ -20,20 +20,6 @@ std::vector<CellKey> cell_grid(std::span<const perf::Platform> platforms,
   return cells;
 }
 
-CellBatch run_batch(ExperimentRunner& runner, std::span<const CellKey> cells,
-                    u32 trials) {
-  std::vector<ExperimentConfig> cfgs;
-  for (const auto& [pl, q, np] : cells) {
-    cfgs.push_back(runner.cell(pl, q, np, trials));
-  }
-  std::vector<RunResult> results = runner.run_cells(cfgs);
-  CellBatch out;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    out.emplace(cells[i], std::move(results[i]));
-  }
-  return out;
-}
-
 double dirty_miss_pct(const RunResult& r, u64 misses) {
   return 100.0 * static_cast<double>(r.mean.dirty_misses) /
          static_cast<double>(misses);

@@ -25,11 +25,6 @@ using CellBatch = std::map<CellKey, RunResult>;
     std::span<const perf::Platform> platforms,
     std::span<const tpch::QueryId> queries, std::span<const u32> nprocs);
 
-/// Run `cells` at `trials` as one run_cells batch on `runner`'s pool. The
-/// export records them in `cells` order.
-[[nodiscard]] CellBatch run_batch(ExperimentRunner& runner,
-                                  std::span<const CellKey> cells, u32 trials);
-
 /// A qualitative statement of the paper and whether a run reproduces it.
 struct Claim {
   std::string text;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-
 #include <optional>
+#include <stdexcept>
 
-#include "core/run_export.hpp"
 #include "os/scheduler.hpp"
 #include "sim/check/invariants.hpp"
 #include "sim/machine_configs.hpp"
@@ -23,36 +21,6 @@ ExperimentRunner::ExperimentRunner(ScaleConfig scale, u64 seed, u32 jobs)
   dbase_ = tpch::build_database(gen);
   // build_database() froze the catalog; trials rely on const-shared reads.
   assert(dbase_->frozen());
-}
-
-ExperimentRunner::ExperimentRunner(ExperimentRunner&&) noexcept = default;
-ExperimentRunner& ExperimentRunner::operator=(ExperimentRunner&&) noexcept =
-    default;
-
-ExperimentRunner::~ExperimentRunner() {
-  if (export_ != nullptr && export_dirty_) {
-    try {
-      write_metrics();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "warning: metrics export failed: %s\n", e.what());
-    }
-  }
-}
-
-void ExperimentRunner::set_metrics_export(std::string bench,
-                                          std::string path) {
-  export_ = std::make_unique<MetricsDoc>();
-  export_->bench = std::move(bench);
-  export_->scale_denom = scale_.denom;
-  export_->seed = seed_;
-  export_path_ = std::move(path);
-  export_dirty_ = false;
-}
-
-void ExperimentRunner::write_metrics() {
-  if (export_ == nullptr) return;
-  write_metrics_file(export_path_, *export_);
-  export_dirty_ = false;
 }
 
 void ExperimentRunner::set_jobs(u32 jobs) {
@@ -173,7 +141,6 @@ ExperimentRunner::TrialResult ExperimentRunner::run_trial(
   // the checker, whose identities do not hold across warmed references.
   std::optional<sim::RefSampler> sampler;
   if (cfg.sample.enabled()) {
-    assert(!cfg.check);
     sampler.emplace(cfg.sample, cfg.nproc);
     machine.set_sampler(&*sampler);
   }
@@ -279,7 +246,11 @@ ExperimentRunner::run_trials(
   std::vector<std::vector<TrialResult>> trials(cfgs.size());
   for (u32 c = 0; c < cfgs.size(); ++c) {
     assert(cfgs[c].nproc >= 1 && cfgs[c].trials >= 1);
-    assert(!(cfgs[c].check && cfgs[c].sample.enabled()));
+    if (cfgs[c].check && cfgs[c].sample.enabled()) {
+      throw std::invalid_argument(
+          "a checked cell cannot be sampled: the invariant checker's "
+          "identities do not hold across functionally warmed references");
+    }
     trials[c].resize(cfgs[c].trials);
   }
   // Results land by (cell, trial), so the order changes no output.
@@ -290,31 +261,6 @@ ExperimentRunner::run_trials(
         run_trial(cfgs[tk.cell], queries[tk.cell], tk.trial);
   });
   return trials;
-}
-
-void ExperimentRunner::record(const ExperimentConfig& cfg,
-                              tpch::QueryId query, std::string label,
-                              const RunResult& r) {
-  if (export_ == nullptr) return;
-  ExportCell cell;
-  cell.platform = perf::platform_name(cfg.platform);
-  cell.query = tpch::query_name(query);
-  cell.nproc = cfg.nproc;
-  cell.trials = cfg.trials;
-  // An override without a label of its own is named by its kind.
-  const bool named = !label.empty();
-  for (const char* o : {cfg.machine_override ? "machine_override" : nullptr,
-                        cfg.spin_override ? "spin_override" : nullptr}) {
-    if (o == nullptr || named) continue;
-    if (!label.empty()) label += "+";
-    label += o;
-  }
-  cell.variant = std::move(label);
-  cell.check = cfg.check;
-  cell.result = r;
-  cell.result.query_result.clear();  // rows are not part of the schema
-  export_->cells.push_back(std::move(cell));
-  export_dirty_ = true;
 }
 
 RunResult ExperimentRunner::reduce(const ExperimentConfig& cfg,
@@ -359,7 +305,6 @@ std::vector<RunResult> ExperimentRunner::run_cells(
   out.reserve(cfgs.size());
   for (u32 c = 0; c < cfgs.size(); ++c) {
     out.push_back(reduce(cfgs[c], trials[c], 0, cfgs[c].nproc));
-    record(cfgs[c], cfgs[c].query, cfgs[c].variant, out.back());
   }
   return out;
 }
@@ -367,10 +312,16 @@ std::vector<RunResult> ExperimentRunner::run_cells(
 std::vector<RunResult> ExperimentRunner::run_mix(
     perf::Platform platform, const std::vector<tpch::QueryId>& mix,
     u32 trials) {
-  assert(!mix.empty() && trials >= 1);
-  ExperimentConfig cfg =
-      cell(platform, mix.front(), static_cast<u32>(mix.size()), trials);
-  cfg.sample = sample_;
+  assert(!mix.empty());
+  return run_mix(
+      cell(platform, mix.front(), static_cast<u32>(mix.size()), trials), mix);
+}
+
+std::vector<RunResult> ExperimentRunner::run_mix(
+    const ExperimentConfig& in_cfg, const std::vector<tpch::QueryId>& mix) {
+  assert(in_cfg.nproc == mix.size());
+  ExperimentConfig cfg = in_cfg;
+  if (sample_.enabled() && !cfg.sample.enabled()) cfg.sample = sample_;
   std::vector<TrialResult> per_trial =
       std::move(run_trials({&cfg, 1}, {&mix, 1}).front());
   // Each process is reduced alone. The sampler's spread is machine-wide (a
@@ -380,7 +331,6 @@ std::vector<RunResult> ExperimentRunner::run_mix(
   std::vector<RunResult> out;
   for (u32 i = 0; i < cfg.nproc; ++i) {
     out.push_back(reduce(cfg, per_trial, i, 1));
-    record(cfg, mix[i], "mix[" + std::to_string(i) + "]", out.back());
   }
   return out;
 }

@@ -34,8 +34,6 @@
 
 namespace dss::core {
 
-struct MetricsDoc;  // run_export.hpp; runner only holds a pointer
-
 /// The memory-scale rule of DESIGN.md §6: database, buffer pool, cache
 /// capacities and the private working set all shrink by `denom`; line sizes,
 /// latencies and clock rates do not.
@@ -210,20 +208,20 @@ struct TrialTask {
 /// runtime, counters) is private to one trial. The runner itself is NOT
 /// re-entrant — call `run`/`run_cells`/`run_mix` from one thread at a time;
 /// internally they fan trials out over the pool.
+///
+/// The runner only runs cells: it returns their results, keeps no record of
+/// them and writes no file. A caller that exports its cells labels them
+/// with export_cell()/export_mix() (core/run_export.hpp).
 class ExperimentRunner {
  public:
   /// `jobs`: number of worker threads for trial/cell execution; 0 means one
   /// per hardware thread, 1 means serial.
   explicit ExperimentRunner(ScaleConfig scale = {}, u64 seed = 42,
                             u32 jobs = 1);
-  ~ExperimentRunner();
-  ExperimentRunner(ExperimentRunner&&) noexcept;
-  ExperimentRunner& operator=(ExperimentRunner&&) noexcept;
 
   /// Change the worker-thread count (0 = hardware concurrency). Results are
   /// independent of this setting by construction.
   void set_jobs(u32 jobs);
-  [[nodiscard]] u32 jobs() const { return jobs_; }
 
   /// Runner-wide sampling default: any run_cells/run_mix configuration that
   /// does not carry its own enabled schedule inherits this one. This is how
@@ -231,10 +229,10 @@ class ExperimentRunner {
   /// the convenience run() overload and the ablation binaries' hand-rolled
   /// configs, without each call site threading the schedule through.
   void set_sampling(const sim::SampleSchedule& sched) { sample_ = sched; }
-  [[nodiscard]] const sim::SampleSchedule& sampling() const { return sample_; }
 
   /// Runner-wide invariant checker (`--check`): every cell built by cell()
-  /// and every run_mix cell runs under it.
+  /// runs under it. A checked cell that is also sampled, by its own
+  /// schedule or the runner's, throws std::invalid_argument when run.
   void set_check(bool check) { check_ = check; }
 
   /// The one cell builder: `nproc` processes of `query` on `platform`, at
@@ -257,28 +255,22 @@ class ExperimentRunner {
 
   /// Heterogeneous multiprogramming: one process per entry of `mix`, each
   /// running its own query concurrently (Section 4's "different query
-  /// processes" reading). Runs as one cell through run_cells' trial tasks
-  /// at this runner's scale, seed, checker and sampling. Returns
+  /// processes" reading). Runs `cfg` (cfg.nproc == mix.size(); cfg.query is
+  /// not read) as one cell through run_cells' trial tasks, under its
+  /// checker setting and its sampling or else the runner's. Returns
   /// per-process results in mix order, each averaged over its own trials; a
   /// sampled result carries the machine-wide half-widths (the sampler cannot
   /// split a heterogeneous mix's spread by process).
+  [[nodiscard]] std::vector<RunResult> run_mix(
+      const ExperimentConfig& cfg, const std::vector<tpch::QueryId>& mix);
+
+  /// Convenience: run_mix(cell(platform, mix[0], mix.size(), trials), mix).
   [[nodiscard]] std::vector<RunResult> run_mix(
       perf::Platform platform, const std::vector<tpch::QueryId>& mix,
       u32 trials = 4);
 
   [[nodiscard]] const db::Database& database() const { return *dbase_; }
   [[nodiscard]] const ScaleConfig& scale() const { return scale_; }
-
-  /// Record every subsequent run_cells/run_mix cell into a MetricsDoc and
-  /// write it (schema in core/run_export.hpp) to `path` — explicitly via
-  /// write_metrics(), or from the destructor if still unwritten.
-  void set_metrics_export(std::string bench, std::string path);
-  /// Flush the recorded document to the configured path now. Throws
-  /// std::runtime_error when the file cannot be written; no-op when export
-  /// is not enabled.
-  void write_metrics();
-  /// The document recorded so far (nullptr when export is not enabled).
-  [[nodiscard]] const MetricsDoc* metrics_doc() const { return export_.get(); }
 
  private:
   /// Everything one trial produces, per process in process order; reduced
@@ -309,11 +301,6 @@ class ExperimentRunner {
                                         std::vector<TrialResult>& trials,
                                         u32 first, u32 count);
 
-  /// Append one cell to the metrics document, when export is enabled. The
-  /// variant is `label`, else the names of any overrides `cfg` carries.
-  void record(const ExperimentConfig& cfg, tpch::QueryId query,
-              std::string label, const RunResult& r);
-
   [[nodiscard]] ThreadPool* pool_for(u64 task_count);
 
   ScaleConfig scale_;
@@ -323,9 +310,6 @@ class ExperimentRunner {
   bool check_ = false;          ///< see set_check()
   std::unique_ptr<db::Database> dbase_;
   std::unique_ptr<ThreadPool> pool_;  ///< lazily created, sized to jobs_
-  std::unique_ptr<MetricsDoc> export_;  ///< set by set_metrics_export
-  std::string export_path_;
-  bool export_dirty_ = false;
 };
 
 }  // namespace dss::core

@@ -1,6 +1,7 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -208,6 +209,10 @@ BenchOptions parse_bench_options(int argc, char** argv, FlagSet accepted) {
               }
             }},
         spec->field);
+  }
+  if (!std::has_single_bit(o.scale_denom)) {
+    fail("--scale expects a power of two (the scaled caches must keep "
+         "power-of-two set counts), got " + std::to_string(o.scale_denom));
   }
   if (o.sample_units > 0 && o.sample_detail < 2) {
     fail("--sample-units requires --sample-detail >= 2 (every K-th unit is "

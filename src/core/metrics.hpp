@@ -78,9 +78,10 @@ struct BenchOptions {
 /// exports as `fig3_cpi`.
 ///
 /// Numbers parse strictly: the whole token, unsigned decimal, no overflow
-/// (--scale and --trials must be >= 1). An explicit `--jobs 0`, or a value
-/// above the host's hardware concurrency, is clamped with a warning on
-/// stderr (stdout and any --metrics JSON stay byte-identical). A flag
+/// (--scale and --trials must be >= 1, and --scale a power of two). An
+/// explicit `--jobs 0`, or a value above the host's hardware concurrency, is
+/// clamped with a warning on stderr (stdout and any --metrics JSON stay
+/// byte-identical). A flag
 /// outside `accepted`, an unknown option, a missing or malformed value, or
 /// an inconsistent combination prints the problem and a usage line to
 /// stderr and exits with status 2.

@@ -178,6 +178,40 @@ void write_metrics_json(std::ostream& os, const MetricsDoc& doc) {
   os << "\n";
 }
 
+ExportCell export_cell(const ExperimentConfig& cfg, const RunResult& r) {
+  std::string variant = cfg.variant;
+  if (variant.empty()) {
+    for (const char* o : {cfg.machine_override ? "machine_override" : nullptr,
+                          cfg.spin_override ? "spin_override" : nullptr}) {
+      if (o == nullptr) continue;
+      if (!variant.empty()) variant += "+";
+      variant += o;
+    }
+  }
+  ExportCell cell{.platform = perf::platform_name(cfg.platform),
+                  .query = tpch::query_name(cfg.query),
+                  .nproc = cfg.nproc,
+                  .trials = cfg.trials,
+                  .variant = std::move(variant),
+                  .check = cfg.check,
+                  .result = r};
+  cell.result.query_result.clear();  // rows are not part of the schema
+  return cell;
+}
+
+std::vector<ExportCell> export_mix(const ExperimentConfig& cfg,
+                                   std::span<const tpch::QueryId> mix,
+                                   std::span<const RunResult> results) {
+  std::vector<ExportCell> cells;
+  ExperimentConfig process = cfg;
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    process.query = mix[i];
+    process.variant = "mix[" + std::to_string(i) + "]";
+    cells.push_back(export_cell(process, results[i]));
+  }
+  return cells;
+}
+
 void write_metrics_file(const std::string& path, const MetricsDoc& doc) {
   std::ofstream out(path);
   if (!out) {

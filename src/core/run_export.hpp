@@ -1,7 +1,8 @@
 // Machine-readable run export and run-to-run diffing.
 //
-// Every fig/abl/ext binary can dump the cells it ran as one versioned JSON
-// document (`--metrics out.json`); `tools/dss_report` pretty-prints one such
+// Every `dss_bench` experiment that takes `--metrics out.json` labels the
+// cells it ran with export_cell()/export_mix() and writes them as one
+// versioned JSON document; `tools/dss_report` pretty-prints one such
 // document and diffs two with per-metric relative-delta gates. This is what
 // lets EXPERIMENTS.md's composition claims ("Q21's growth is
 // communication-dominated", "dirty-miss share stays below half") be checked
@@ -10,6 +11,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,18 @@ struct ExportCell {
   /// then holds the machine metrics at the serving operating point.
   std::optional<ServingStats> serving = std::nullopt;
 };
+
+/// The export cell of `r`, the result of running `cfg`. Its variant is
+/// `cfg.variant`, else the names of the overrides `cfg` carries
+/// ("machine_override", "spin_override", joined by '+').
+[[nodiscard]] ExportCell export_cell(const ExperimentConfig& cfg,
+                                     const RunResult& r);
+
+/// The export cells of a run_mix: `results[i]` is process i of the one cell
+/// `cfg`, which ran `mix[i]` and is labelled "mix[i]".
+[[nodiscard]] std::vector<ExportCell> export_mix(
+    const ExperimentConfig& cfg, std::span<const tpch::QueryId> mix,
+    std::span<const RunResult> results);
 
 /// Top-level document written by `--metrics`.
 struct MetricsDoc {

@@ -143,7 +143,6 @@ u64 MachineSim::access_detailed(u32 proc, AccessKind kind, SimAddr addr,
                                 u32 len, u64 now) {
   assert(proc < cfg_.num_processors);
   assert(len > 0);
-  if (trace_hook_) trace_hook_(proc, kind, addr, len);
   perf::Counters& c = ctr(proc);
   SetAssocCache& l1 = caches_[proc][0];
   const u32 l1_shift = l1.line_shift();
@@ -692,92 +691,6 @@ void MachineSim::proto_fail(const char* what, u64 unit, u32 proc) const {
   if (obs_ != nullptr) obs_->on_violation(what, unit, proc);
   log_error("protocol violation at unit ", unit, " (proc ", proc, "): ", what);
   throw ProtocolViolation(what, unit, proc);
-}
-
-bool MachineSim::check_invariants() const {
-  bool ok = true;
-  auto fail = [&ok](const std::string& msg) {
-    log_error("coherence invariant violated: ", msg);
-    ok = false;
-  };
-
-  // 1. Directory -> caches.
-  dir_.for_each([&](u64 unit, const DirEntry& e) {
-    switch (e.state) {
-      case DirState::Uncached:
-        for (u32 p = 0; p < cfg_.num_processors; ++p) {
-          if (caches_[p].back().probe(unit).has_value()) {
-            fail("uncached unit resident in a cache");
-          }
-        }
-        break;
-      case DirState::Shared:
-        if (e.sharer_count() == 0) fail("shared unit with empty sharer set");
-        for (u32 p = 0; p < cfg_.num_processors; ++p) {
-          const auto st = caches_[p].back().probe(unit);
-          if (e.is_sharer(p)) {
-            if (!st.has_value()) {
-              fail("directory sharer does not hold the line");
-            } else if (is_exclusive(*st)) {
-              fail("sharer holds line in exclusive state");
-            }
-          } else if (st.has_value()) {
-            fail("non-sharer holds a shared line");
-          }
-        }
-        break;
-      case DirState::Owned: {
-        const auto st = caches_[e.owner].back().probe(unit);
-        if (!st.has_value()) {
-          fail("owner does not hold the owned line");
-        } else if (!is_exclusive(*st)) {
-          fail("owner holds line in non-exclusive state");
-        }
-        for (u32 p = 0; p < cfg_.num_processors; ++p) {
-          if (p != e.owner && caches_[p].back().probe(unit).has_value()) {
-            fail("second copy of an owned line");
-          }
-        }
-        break;
-      }
-    }
-  });
-
-  // 2. Caches -> directory, plus multilevel inclusion.
-  for (u32 p = 0; p < cfg_.num_processors; ++p) {
-    caches_[p].back().for_each_line([&](u64 unit, LineState st) {
-      const DirEntry* e = dir_.probe(unit);
-      if (e == nullptr || e->state == DirState::Uncached) {
-        fail("cached line unknown to the directory");
-        return;
-      }
-      if (is_exclusive(st) &&
-          !(e->state == DirState::Owned && e->owner == p)) {
-        fail("exclusive cache copy not registered as owner");
-      }
-      if (st == LineState::S &&
-          !(e->state == DirState::Shared && e->is_sharer(p))) {
-        fail("shared cache copy not registered as sharer");
-      }
-    });
-    if (caches_[p].size() > 1) {
-      caches_[p][0].for_each_line([&](u64 l1_line, LineState st) {
-        const u64 unit = l1_line >> unit_vs_l1_shift_;
-        const auto st2 = caches_[p].back().probe(unit);
-        if (!st2.has_value()) {
-          fail("L1 line not contained in L2 (inclusion)");
-          return;
-        }
-        if (is_exclusive(st) && !is_exclusive(*st2)) {
-          fail("L1 holds exclusive state above a shared L2 line");
-        }
-        if (st == LineState::M && *st2 != LineState::M) {
-          fail("dirty L1 line above a non-dirty L2 line");
-        }
-      });
-    }
-  }
-  return ok;
 }
 
 }  // namespace dss::sim

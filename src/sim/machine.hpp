@@ -24,7 +24,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -231,12 +230,9 @@ class MachineSim {
   /// checkers use the const `memctrl()` accessor below.
   [[nodiscard]] MemCtrl& memctrl_mut() { return mc_; }
 
-  /// Observer invoked for every reference (trace capture); nullptr clears.
-  using TraceHook = std::function<void(u32, AccessKind, SimAddr, u32)>;
-  void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
-
   /// Attach a protocol observer (nullptr detaches). At most one at a time;
-  /// the invariant checker in sim/check builds on this seam.
+  /// the invariant checker in sim/check and trace capture (sim/trace)
+  /// build on this seam.
   void set_observer(ProtocolObserver* obs) { obs_ = obs; }
   [[nodiscard]] ProtocolObserver* observer() const { return obs_; }
   /// Attach `obs` and own it: it is destroyed with this machine, before
@@ -285,11 +281,6 @@ class MachineSim {
   [[nodiscard]] const perf::Counters* attached_counters(u32 proc) const {
     return counters_[proc];
   }
-
-  /// Verify directory/cache consistency and multilevel inclusion; aborts via
-  /// assert-like check and returns false on the first violation (the message
-  /// is logged). Used by property tests after randomized access storms.
-  [[nodiscard]] bool check_invariants() const;
 
  private:
   struct GlobalResult {
@@ -396,7 +387,6 @@ class MachineSim {
   /// proc -> node (avoids a per-miss divide)
   DSS_REPLAY_SAFE std::vector<u32> proc_node_;
   DSS_REPLAY_SAFE u32 num_nodes_ = 1;  ///< cfg_.num_nodes(), cached
-  DSS_REPLAY_SAFE TraceHook trace_hook_;
   DSS_REPLAY_SAFE ProtocolObserver* obs_ = nullptr;
   DSS_REPLAY_SAFE CheckFault fault_ = CheckFault::kNone;
   /// Attached sampling schedule (nullptr: every reference is detailed).

@@ -1,6 +1,7 @@
 #include "sim/trace.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 namespace dss::sim {
 
@@ -107,13 +108,14 @@ std::vector<perf::Counters> replay(MachineSim& machine,
 }
 
 TraceCapture::TraceCapture(MachineSim& machine, TraceWriter& writer)
-    : machine_(machine) {
-  machine.set_trace_hook(
-      [&writer](u32 proc, AccessKind kind, SimAddr addr, u32 len) {
-        writer.record(proc, kind, addr, len, 0);
-      });
+    : machine_(machine), writer_(writer) {
+  if (machine_.observer() != nullptr) {
+    throw std::logic_error(
+        "TraceCapture: the machine already has a protocol observer");
+  }
+  machine_.set_observer(this);
 }
 
-TraceCapture::~TraceCapture() { machine_.set_trace_hook(nullptr); }
+TraceCapture::~TraceCapture() { machine_.set_observer(nullptr); }
 
 }  // namespace dss::sim

@@ -70,17 +70,27 @@ class TraceReader {
 [[nodiscard]] std::vector<perf::Counters> replay(
     MachineSim& machine, const std::vector<TraceRecord>& records);
 
-/// Convenience: attach a writer to a machine (via the trace hook), capturing
-/// every reference issued until the returned guard is destroyed.
-class TraceCapture {
+/// Attaches to a machine as its protocol observer and records every
+/// detailed reference into `writer` until destroyed. The machine then runs
+/// each reference through its general path (an observer disables the L1
+/// fast path), which changes no counter and no timing. A reference is
+/// recorded once its access completes, so one that throws (a
+/// ProtocolViolation) is not captured. The machine must have no observer
+/// when the capture starts (else std::logic_error), and has none after it.
+class TraceCapture final : public ProtocolObserver {
  public:
   TraceCapture(MachineSim& machine, TraceWriter& writer);
-  ~TraceCapture();
+  ~TraceCapture() override;
   TraceCapture(const TraceCapture&) = delete;
   TraceCapture& operator=(const TraceCapture&) = delete;
 
+  void on_access(u32 proc, AccessKind kind, SimAddr addr, u32 len) override {
+    writer_.record(proc, kind, addr, len, 0);
+  }
+
  private:
   MachineSim& machine_;
+  TraceWriter& writer_;
 };
 
 }  // namespace dss::sim

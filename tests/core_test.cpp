@@ -141,11 +141,13 @@ TEST(BenchOptionsDeathTest, EveryNumericFlagRejectsBadValuesWithUsage) {
   // A bad numeric value prints the problem and a usage line and exits 2:
   // never an uncaught exception, never a sign wrapped around. Every numeric
   // flag is tried with a non-number, no value and a negative value, plus
-  // partial, signed, overflowing, empty and out-of-range tokens.
+  // partial, signed, overflowing, empty and out-of-range tokens, and a
+  // --scale that is not a power of two.
   std::vector<std::vector<std::string>> cases = {
       {"--scale", "12abc"},          {"--scale", "+3"},
       {"--scale", " 3"},             {"--scale", ""},
-      {"--scale", "0"},              {"--trials", "0"},
+      {"--scale", "0"},              {"--scale", "3"},
+      {"--scale", "24"},             {"--trials", "0"},
       {"--jobs", "4294967296"},      {"--seed", "18446744073709551616"},
       {"--think-time", "nan"},       {"--target-load", "0.5x"},
       {"--cpus", "4,x"},             {"--cpus", "4,"},

@@ -9,6 +9,7 @@
 #include "sim/machine.hpp"
 #include "sim/machine_configs.hpp"
 #include "sim/refstream.hpp"
+#include "sweep_clean.hpp"
 #include "util/rng.hpp"
 
 namespace dss::sim {
@@ -218,7 +219,7 @@ TEST(Machine, DirtyEvictionWritesBackAndUncaches) {
   EXPECT_EQ(r.ctr[0].writebacks, 1u);
   const DirEntry* e = r.m.directory().probe(l0);
   EXPECT_TRUE(e == nullptr || e->state == DirState::Uncached);
-  EXPECT_TRUE(r.m.check_invariants());
+  EXPECT_TRUE(sweep_clean(r.m));
 }
 
 TEST(Machine, InclusionBackInvalidatesL1) {
@@ -229,7 +230,7 @@ TEST(Machine, InclusionBackInvalidatesL1) {
   (void)r.read(0, A + 16 * 64);  // evicts unit of A from L2
   EXPECT_FALSE(r.m.cache(0, 0).probe(A >> 5).has_value())
       << "L1 must not hold a line whose L2 unit was evicted";
-  EXPECT_TRUE(r.m.check_invariants());
+  EXPECT_TRUE(sweep_clean(r.m));
 }
 
 TEST(Machine, WriteToSharedSublineOfOwnedUnitStaysLocal) {
@@ -246,7 +247,7 @@ TEST(Machine, WriteToSharedSublineOfOwnedUnitStaysLocal) {
   EXPECT_EQ(*r.m.cache(0, 0).probe(A >> 5), LineState::M);
   EXPECT_EQ(*r.m.cache(0, 1).probe(A >> 6), LineState::M);
   EXPECT_EQ(r.ctr[0].upgrades, 1u) << "second write must not go global";
-  EXPECT_TRUE(r.m.check_invariants());
+  EXPECT_TRUE(sweep_clean(r.m));
 }
 
 TEST(Machine, TwoLevelCountsL2MissesOnlyOnUnitMiss) {
@@ -351,10 +352,10 @@ TEST_P(CoherenceStorm, InvariantsHoldUnderRandomTraffic) {
       default: (void)r.atomic(p, a); break;
     }
     if (i % 5'000 == 4'999) {
-      ASSERT_TRUE(r.m.check_invariants()) << "step " << i;
+      ASSERT_TRUE(sweep_clean(r.m)) << "step " << i;
     }
   }
-  ASSERT_TRUE(r.m.check_invariants());
+  ASSERT_TRUE(sweep_clean(r.m));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -380,7 +381,7 @@ TEST(Machine, ScaledConfigsPreserveGeometryRules) {
     perf::Counters c;
     m1.attach_counters(0, &c);
     (void)m1.access(0, AccessKind::Read, kSharedBase, 8, 0);
-    EXPECT_TRUE(m1.check_invariants());
+    EXPECT_TRUE(sweep_clean(m1));
   }
 }
 
@@ -452,7 +453,7 @@ TEST(Machine, WarmBatchLeavesTheStateAccessBatchLeaves) {
       EXPECT_EQ(a[p].stack.mem_stall(), b[p].stack.mem_stall());
     }
     EXPECT_GT(misses, 0u) << "the suffix must exercise the miss path";
-    EXPECT_TRUE(warmed.check_invariants());
+    EXPECT_TRUE(sweep_clean(warmed));
   }
 }
 

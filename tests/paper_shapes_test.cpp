@@ -27,13 +27,20 @@ const core::CellBatch& batch_with(std::span<const core::CellKey> cells) {
                                        /*jobs=*/0);
   static core::CellBatch batch;
   std::vector<core::CellKey> missing;
+  std::vector<core::ExperimentConfig> cfgs;
   for (const core::CellKey& k : cells) {
     if (!batch.contains(k) &&
         std::find(missing.begin(), missing.end(), k) == missing.end()) {
       missing.push_back(k);
+      const auto& [pl, q, np] = k;
+      cfgs.push_back(runner.cell(pl, q, np, 1));
     }
   }
-  if (!missing.empty()) batch.merge(core::run_batch(runner, missing, 1));
+  if (cfgs.empty()) return batch;
+  std::vector<core::RunResult> results = runner.run_cells(cfgs);
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    batch.emplace(missing[i], std::move(results[i]));
+  }
   return batch;
 }
 

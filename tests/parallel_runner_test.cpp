@@ -2,7 +2,9 @@
 // runner no matter how many worker threads execute the trials.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -147,14 +149,28 @@ TEST(ParallelRunner, CellStampsTheRunnersSettings) {
   EXPECT_TRUE(
       runner.cell(perf::Platform::VClass, tpch::QueryId::Q21, 4, 3).check);
 
-  runner.set_metrics_export("cell_test",
-                            testing::TempDir() + "cell_test_metrics.json");
-  (void)runner.run(perf::Platform::Origin2000, tpch::QueryId::Q6, 1, 1);
-  (void)runner.run_mix(perf::Platform::Origin2000,
-                       {tpch::QueryId::Q6, tpch::QueryId::Q12}, 1);
-  ASSERT_NE(runner.metrics_doc(), nullptr);
-  ASSERT_EQ(runner.metrics_doc()->cells.size(), 3u);
-  for (const auto& c : runner.metrics_doc()->cells) EXPECT_TRUE(c.check);
+  // The cells a checked run() and run_mix() ran, exported as ext_mixed
+  // exports them, carry the checker flag into the document.
+  const auto pl = perf::Platform::Origin2000;
+  const std::vector mix{tpch::QueryId::Q6, tpch::QueryId::Q12};
+  const ExperimentConfig solo = runner.cell(pl, tpch::QueryId::Q6, 1, 1);
+  const ExperimentConfig mixed = runner.cell(pl, mix.front(), 2, 1);
+  std::vector<core::ExportCell> cells{core::export_cell(solo, runner.run(solo))};
+  std::ranges::move(core::export_mix(mixed, mix, runner.run_mix(mixed, mix)),
+                    std::back_inserter(cells));
+  ASSERT_EQ(cells.size(), 3u);
+  for (const auto& c : cells) EXPECT_TRUE(c.check);
+
+  // The checker refuses a sampled cell, so under the runner's sampling
+  // every entry point that runs under the checker throws: the check flag
+  // reached the trials of run() and of both run_mix() forms.
+  runner.set_sampling(sim::SampleSchedule{500, 10, 200});
+  EXPECT_THROW((void)runner.run(pl, tpch::QueryId::Q6, 1, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)runner.run_mix(pl, mix, 1), std::invalid_argument);
+  EXPECT_THROW((void)runner.run_mix(mixed, mix), std::invalid_argument);
+  runner.set_check(false);
+  EXPECT_NO_THROW((void)runner.run_mix(pl, mix, 1));
 }
 
 TEST(ParallelRunner, TrialOrderStartsTheCostliestTrialsFirst) {

@@ -503,6 +503,46 @@ TEST(RunExport, VariantDistinguishesCells) {
   EXPECT_FALSE(rep.errors.empty());
 }
 
+TEST(RunExport, ExportCellLabelsEachCellByOneRule) {
+  // The variant is the config's own label, else the names of its
+  // overrides; a run_mix process is "mix[i]" and reports its own query.
+  ExperimentConfig cfg;
+  cfg.platform = perf::Platform::Origin2000;
+  cfg.query = tpch::QueryId::Q21;
+  cfg.nproc = 2;
+  cfg.trials = 3;
+  cfg.check = true;
+  RunResult r;
+  r.cpi = 1.25;
+  r.query_result.push_back({});
+  const ExportCell plain = export_cell(cfg, r);
+  EXPECT_EQ(plain.platform, perf::platform_name(cfg.platform));
+  EXPECT_EQ(plain.query, "Q21");
+  EXPECT_EQ(plain.nproc, 2u);
+  EXPECT_EQ(plain.trials, 3u);
+  EXPECT_TRUE(plain.check);
+  EXPECT_EQ(plain.variant, "");
+  EXPECT_EQ(plain.result.cpi, 1.25);
+  EXPECT_TRUE(plain.result.query_result.empty());
+
+  ExperimentConfig both = cfg;
+  both.machine_override = sim::MachineConfig{};
+  both.spin_override = db::SpinPolicy{};
+  EXPECT_EQ(export_cell(both, r).variant, "machine_override+spin_override");
+  both.variant = "l2=1 MiB";
+  EXPECT_EQ(export_cell(both, r).variant, "l2=1 MiB");
+
+  const std::vector mix{tpch::QueryId::Q6, tpch::QueryId::Q12};
+  const std::vector<ExportCell> cells =
+      export_mix(both, mix, std::vector<RunResult>(2, r));
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].query, "Q6");
+  EXPECT_EQ(cells[0].variant, "mix[0]");
+  EXPECT_EQ(cells[1].query, "Q12");
+  EXPECT_EQ(cells[1].variant, "mix[1]");
+  EXPECT_EQ(cells[1].nproc, 2u);
+}
+
 TEST(RunExport, ExportTablesCoverTheirStructs) {
   // Every RunResult member is an exported metric, a CI, a "sample" member,
   // or one of the three written otherwise: the counters (their own

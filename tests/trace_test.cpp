@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -228,6 +229,18 @@ TEST(Trace, CaptureHooksEveryReference) {
   ASSERT_EQ(w.records().size(), 2u);
   EXPECT_EQ(w.records()[0].addr, kSharedBase);
   EXPECT_EQ(static_cast<AccessKind>(w.records()[1].kind), AccessKind::Write);
+}
+
+TEST(Trace, CaptureRefusesAMachineWithAnObserver) {
+  // The machine has one observer slot: a capture must not silently detach
+  // an observer already there (an invariant checker, say).
+  MachineSim m(cfg());
+  ProtocolObserver other;
+  m.set_observer(&other);
+  TraceWriter w;
+  EXPECT_THROW({ TraceCapture guard(m, w); }, std::logic_error);
+  EXPECT_EQ(m.observer(), &other);
+  m.set_observer(nullptr);
 }
 
 TEST(Trace, CapturedWorkloadReplaysWithSameMissCount) {
